@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser("top",
                          help="live terminal dashboard of a running "
-                              "'jedule serve' daemon (/statz + /metricz)")
+                              "'jedule serve' daemon (/statz)")
     where_top = top.add_mutually_exclusive_group(required=True)
     where_top.add_argument("--url",
                            help="service URL, e.g. http://127.0.0.1:8734")

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.core.colormap import Color, ColorMap, CompositeRule, TaskStyle
 from repro.errors import ColorError, ParseError
+from repro.io.text import read_utf8
 
 __all__ = ["loads", "load", "dumps", "dump"]
 
@@ -87,7 +88,7 @@ def loads(text: str, *, source: str = "<string>") -> ColorMap:
 
 def load(path: str | Path) -> ColorMap:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(read_utf8(path), source=str(path))
 
 
 def dumps(cmap: ColorMap, *, indent: bool = True) -> str:

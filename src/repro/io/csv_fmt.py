@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.core.model import Cluster, Configuration, HostRange, Schedule, Task
 from repro.errors import ParseError, ScheduleError
+from repro.io.text import read_utf8
 from repro.obs import core as _obs
 
 __all__ = ["loads", "load", "dumps", "dump", "format_hosts", "parse_hosts"]
@@ -188,4 +189,4 @@ def dump(schedule: Schedule, path: str | Path) -> None:
 
 def load(path: str | Path) -> Schedule:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(read_utf8(path), source=str(path))

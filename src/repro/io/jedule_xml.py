@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro.core.model import Cluster, Configuration, HostRange, Schedule, Task
 from repro.errors import ParseError
+from repro.io.text import read_utf8
 from repro.obs import core as _obs
 
 __all__ = ["loads", "load", "dumps", "dump", "JEDULE_VERSION"]
@@ -160,7 +161,7 @@ def loads(text: str, *, source: str = "<string>") -> Schedule:
 def load(path: str | Path) -> Schedule:
     """Read a Jedule XML file."""
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(read_utf8(path), source=str(path))
 
 
 def _prop(parent: ET.Element, tag: str, name: str, value: str) -> None:

@@ -30,6 +30,7 @@ from typing import Any
 
 from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.errors import ParseError, ScheduleError
+from repro.io.text import read_utf8
 
 __all__ = ["loads", "load", "dumps", "dump", "to_dict", "from_dict"]
 
@@ -63,22 +64,33 @@ def from_dict(data: dict[str, Any], *, source: str = "<dict>") -> Schedule:
     """Rebuild a schedule from :func:`to_dict` output."""
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}", source=source)
-    schedule = Schedule(meta=data.get("meta") or {})
     try:
+        schedule = Schedule(meta=data.get("meta") or {})
         for c in data.get("clusters", []):
             schedule.add_cluster(Cluster(c["id"], c["hosts"], c.get("name")))
         for t in data.get("tasks", []):
             confs = [
-                Configuration(conf["cluster"], [tuple(r) for r in conf["ranges"]])
+                Configuration(conf["cluster"],
+                              [_host_range(r, t["id"], source)
+                               for r in conf["ranges"]])
                 for conf in t["configurations"]
             ]
             schedule.add_task(Task(t["id"], t["type"], t["start"], t["end"],
                                    confs, t.get("meta") or {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}", source=source) from exc
     except ScheduleError as exc:
         raise ParseError(str(exc), source=source) from exc
     return schedule
+
+
+def _host_range(r: Any, task_id: Any, source: str) -> tuple[int, int]:
+    """A ``[start, nb]`` pair, or a ParseError naming the task."""
+    if (isinstance(r, (list, tuple)) and len(r) == 2
+            and all(type(v) is int for v in r)):
+        return r[0], r[1]
+    raise ParseError(f"task {task_id!r}: host range must be two integers "
+                     f"[start, nb], got {r!r}", source=source)
 
 
 def dumps(schedule: Schedule, *, indent: int | None = 2) -> str:
@@ -99,4 +111,4 @@ def dump(schedule: Schedule, path: str | Path, **kwargs) -> None:
 
 def load(path: str | Path) -> Schedule:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=str(path))
+    return loads(read_utf8(path), source=str(path))

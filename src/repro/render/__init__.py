@@ -9,7 +9,6 @@ from repro.render.api import (
     format_from_suffix,
     render_drawing,
     render_request_bytes,
-    render_schedule,
 )
 from repro.render.backends import render_ascii
 from repro.render.compose import compare_schedules, stack_drawings
@@ -48,6 +47,5 @@ __all__ = [
     "nice_ticks",
     "render_ascii",
     "render_drawing",
-    "render_schedule",
     "stack_drawings",
 ]

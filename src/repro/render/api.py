@@ -8,14 +8,13 @@ parallel batch runner (:mod:`repro.batch`) and the benchmark suites all
 build requests and hand them to :func:`execute_request`, which returns a
 :class:`RenderResult` describing what happened.
 
-Convenience wrappers remain: :func:`export_schedule` (schedule -> file)
-and the deprecated :func:`render_schedule` keyword sprawl it replaced.
+:func:`export_schedule` remains as a convenience wrapper (schedule ->
+file).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -51,7 +50,6 @@ __all__ = [
     "RenderResult",
     "execute_request",
     "render_request_bytes",
-    "render_schedule",
     "export_schedule",
     "render_drawing",
     "OUTPUT_FORMATS",
@@ -461,34 +459,6 @@ def execute_request(request: RenderRequest,
         duration_s=perf_counter() - started,
         data=None if request.output_path is not None else data,
     )
-
-
-def render_schedule(
-    schedule: Schedule,
-    format: str = "svg",
-    *,
-    cmap: ColorMap | None = None,
-    style: Style | None = None,
-    width: int = 900,
-    height: int = 480,
-    mode: ViewMode | str = ViewMode.ALIGNED,
-    title: str | None = None,
-    viewport: Viewport | None = None,
-    lod: str | LodOptions = "auto",
-) -> bytes:
-    """Deprecated keyword-sprawl entry point; build a :class:`RenderRequest`
-    and call :func:`render_request_bytes` / :func:`execute_request` instead.
-
-    Kept as a thin shim so existing callers keep working unchanged.
-    """
-    warnings.warn(
-        "render_schedule() is deprecated; build a RenderRequest and use "
-        "render_request_bytes()/execute_request() instead",
-        DeprecationWarning, stacklevel=2)
-    request = RenderRequest(
-        output_format=format.lower(), cmap=cmap, style=style, width=width,
-        height=height, mode=mode, title=title, viewport=viewport, lod=lod)
-    return render_request_bytes(request, schedule)
 
 
 def export_schedule(

@@ -9,10 +9,11 @@ log-spaced buckets, constant memory, thread-safe.
 Everything renders to the Prometheus *text exposition format 0.0.4*
 (``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=...}`` series
 plus ``_sum`` / ``_count`` for histograms, label values escaped per the
-spec).  :func:`parse_prometheus_text` is the matching reader used by
-``jedule top`` and the test suite, and
-:func:`quantile_from_buckets` recovers p50/p95/p99 estimates from the
-cumulative bucket series of a scrape.
+spec).  :meth:`Metrics.snapshot` is the JSON view of the same registry
+behind ``/statz``, the drain run record and ``jedule top``: counters
+keyed by their exposition series name, histograms summarised through
+:meth:`Histogram.percentile`.  :func:`parse_prometheus_text` is the
+matching reader the test suite uses to check a scrape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "escape_label_value",
     "format_value",
     "parse_prometheus_text",
-    "quantile_from_buckets",
+    "series_name",
 ]
 
 #: ``(("stage", "worker"), ...)`` — canonical ordered label tuple.
@@ -76,6 +77,11 @@ def _render_labels(labels: Labels, extra: str = "") -> str:
     if extra:
         parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def series_name(name: str, labels: dict[str, str] | None = None) -> str:
+    """The exposition series name, e.g. ``jobs_total{status="ok"}``."""
+    return name + _render_labels(_labels_key(labels))
 
 
 class Metrics:
@@ -156,15 +162,51 @@ class Metrics:
         return self._histograms.get(name, {}).get(
             _labels_key({"stage": stage}))
 
-    # ------------------------------------------------------------ rendering
-    def render(self) -> str:
-        """The registry in Prometheus text exposition format 0.0.4."""
+    def _copy(self):
+        """Family order plus copies of the sample tables, under the lock."""
         with self._lock:
             order = list(self._order)
             counters = {name: dict(family)
                         for name, family in self._counters.items()}
             hist_families = {name: dict(family)
                              for name, family in self._histograms.items()}
+        return order, counters, hist_families
+
+    def _counter_samples(self, name: str,
+                         counters: dict) -> list[tuple[Labels, float]]:
+        """One counter family's samples; an unsampled family reads 0."""
+        if name in self._counter_fns:
+            return [((), float(self._counter_fns[name]()))]
+        return sorted(counters[name].items()) or [((), 0.0)]
+
+    # ------------------------------------------------------------- snapshot
+    def snapshot(self) -> dict:
+        """The registry as JSON: ``counters`` and ``histograms``.
+
+        ``counters`` maps each counter series name (as ``/metricz``
+        prints it) to its value.  ``histograms`` maps a histogram family
+        to ``{labels: {"count", "p50", "p95", "p99"}}``, the percentiles
+        read through :meth:`Histogram.percentile`.
+        """
+        order, counters, hist_families = self._copy()
+        out: dict = {"counters": {}, "histograms": {}}
+        for name in order:
+            if self._type[name] == "counter":
+                for key, value in self._counter_samples(name, counters):
+                    out["counters"][name + _render_labels(key)] = value
+            elif self._type[name] == "histogram":
+                out["histograms"][name] = {
+                    key: {"count": hist.count,
+                          "p50": hist.percentile(0.50),
+                          "p95": hist.percentile(0.95),
+                          "p99": hist.percentile(0.99)}
+                    for key, hist in sorted(hist_families[name].items())}
+        return out
+
+    # ------------------------------------------------------------ rendering
+    def render(self) -> str:
+        """The registry in Prometheus text exposition format 0.0.4."""
+        order, counters, hist_families = self._copy()
         lines: list[str] = []
         for name in order:
             kind = self._type[name]
@@ -173,16 +215,10 @@ class Metrics:
             if kind == "gauge":
                 value = float(self._gauge_fns[name]())
                 lines.append(f"{name} {format_value(value)}")
-            elif kind == "counter" and name in self._counter_fns:
-                value = float(self._counter_fns[name]())
-                lines.append(f"{name} {format_value(value)}")
             elif kind == "counter":
-                family = counters.get(name, {})
-                if not family:
-                    lines.append(f"{name} 0")
-                for key in sorted(family):
+                for key, value in self._counter_samples(name, counters):
                     lines.append(f"{name}{_render_labels(key)} "
-                                 f"{format_value(family[key])}")
+                                 f"{format_value(value)}")
             else:  # histogram
                 for key in sorted(hist_families.get(name, {})):
                     hist = hist_families[name][key]
@@ -280,28 +316,3 @@ def _parse_float(token: str, lineno: int) -> float:
         raise ValueError(f"line {lineno}: bad sample value {token!r}") \
             from None
 
-
-def quantile_from_buckets(buckets: list[tuple[float, float]],
-                          q: float) -> float:
-    """Upper-bound ``q``-quantile from cumulative ``(le, count)`` pairs.
-
-    ``buckets`` is the scraped ``_bucket`` series of one label set
-    (cumulative counts, any order); matches
-    :meth:`repro.obs.core.Histogram.percentile` up to the ``+Inf``
-    bucket, which has no finite upper bound and reports the largest
-    finite ``le`` instead.
-    """
-    ordered = sorted(buckets)
-    if not ordered:
-        return 0.0
-    count = ordered[-1][1]
-    if count <= 0:
-        return 0.0
-    rank = max(1.0, math.ceil(q * count))
-    finite = [le for le, _ in ordered if math.isfinite(le)]
-    for le, cum in ordered:
-        if cum >= rank:
-            if math.isfinite(le):
-                return le
-            return finite[-1] if finite else math.inf
-    return finite[-1] if finite else math.inf

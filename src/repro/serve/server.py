@@ -18,11 +18,13 @@ graceful: ``/drain`` (or SIGTERM) stops admission, finishes every
 queued and in-flight job, persists a run-registry record, then exits.
 SIGHUP performs a rolling worker restart without dropping the queue.
 
-Observability: per-request ``serve.job`` spans, ``serve.queue.depth``
-gauges and ``serve.*`` counters flow through :mod:`repro.obs` when a
-trace is being captured; an always-on local stats block feeds
-``/statz`` (latency percentiles included) and the drain-time runlog
-record regardless.
+Observability: one :class:`~repro.serve.metrics.Metrics` registry is
+the only place the server counts or times anything.  ``/metricz`` renders
+it as Prometheus text; :meth:`Metrics.snapshot` gives the same numbers to
+``/statz`` (``counters`` keyed by series name, per-stage ``latency_s``),
+to the drain-time runlog record and, through ``/statz``, to ``jedule
+top``.  When a trace is being captured, per-request ``serve.job`` spans
+and ``serve.queue.depth`` gauges also flow through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import socketserver
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,7 +58,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.tracing import stitch_job_trace
 
-__all__ = ["RenderServer", "Job", "CONTENT_TYPES", "latency_percentiles"]
+__all__ = ["RenderServer", "Job", "CONTENT_TYPES"]
 
 #: output format -> HTTP content type of /jobs/<id>/result
 CONTENT_TYPES = {
@@ -70,18 +72,6 @@ CONTENT_TYPES = {
 }
 
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
-
-
-def latency_percentiles(values, points=(0.50, 0.95, 0.99)) -> dict[str, float]:
-    """Nearest-rank percentiles of a latency sample, keyed ``p50``-style."""
-    out = {f"p{int(p * 100)}": 0.0 for p in points}
-    data = sorted(values)
-    if not data:
-        return out
-    for p in points:
-        rank = max(0, math.ceil(p * len(data)) - 1)
-        out[f"p{int(p * 100)}"] = data[rank]
-    return out
 
 
 @dataclass
@@ -213,21 +203,10 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         path = urlsplit(self.path).path
         if path == "/render":
-            body = self._read_body()
-            if body is None:
-                self._send_json(400, _error("bad-body",
-                                            "missing or oversized body"))
-                return
-            try:
-                doc = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self._send_json(400, _error("bad-json",
-                                            f"body is not JSON: {exc}"))
-                return
-            client = self.headers.get("X-Jedule-Client") or None
-            trace_id = self.headers.get(TRACE_HEADER) or None
-            status, payload, headers = self.app.submit_payload(
-                doc, client=client, trace_id=trace_id)
+            status, payload, headers = self.app.submit_body(
+                self._read_body(),
+                client=self.headers.get("X-Jedule-Client") or None,
+                trace_id=self.headers.get(TRACE_HEADER) or None)
             self._send_json(status, payload, headers)
         elif path == "/drain":
             self._send_json(200, self.app.begin_drain())
@@ -241,27 +220,6 @@ def _error(code: str, message: str, **extra) -> dict:
 
 #: stage histogram family behind /metricz and the drain runlog record
 STAGE_FAMILY = "jedule_serve_stage_seconds"
-
-#: legacy stats-block counter -> /metricz counter family (+ labels)
-_METRIC_MAP: dict[str, tuple[str, dict[str, str] | None]] = {
-    "serve.requests": ("jedule_serve_requests_total", None),
-    "serve.jobs.ok": ("jedule_serve_jobs_total", {"status": "ok"}),
-    "serve.jobs.failed": ("jedule_serve_jobs_total", {"status": "failed"}),
-    "serve.cache.hit": ("jedule_serve_cache_total", {"outcome": "hit"}),
-    "serve.cache.miss": ("jedule_serve_cache_total", {"outcome": "miss"}),
-    "serve.cache.off": ("jedule_serve_cache_total", {"outcome": "off"}),
-    "serve.rejected.invalid":
-        ("jedule_serve_rejected_total", {"reason": "invalid"}),
-    "serve.rejected.queue_full":
-        ("jedule_serve_rejected_total", {"reason": "queue-full"}),
-    "serve.rejected.draining":
-        ("jedule_serve_rejected_total", {"reason": "draining"}),
-    "serve.worker.timeout":
-        ("jedule_serve_worker_failures_total", {"kind": "timeout"}),
-    "serve.worker.crash":
-        ("jedule_serve_worker_failures_total", {"kind": "crash"}),
-}
-
 
 class RenderServer:
     """Long-lived render service over a warm worker pool.
@@ -300,9 +258,6 @@ class RenderServer:
         # transition) so /statz and /metricz never walk the jobs dict
         self._job_states: dict[str, int] = {}
 
-        self._stats_lock = threading.Lock()
-        self._counters: dict[str, float] = {}
-        self._latencies: deque[float] = deque(maxlen=4096)
         self._started_at = time.time()
         self.metrics = self._build_metrics()
 
@@ -399,7 +354,6 @@ class RenderServer:
                     self._busy_cv.wait()
             for index in range(self._pool.size):
                 self._pool.restart_worker(index)
-            self._count("serve.worker.reload")
         finally:
             self.resume_dispatch()
 
@@ -477,11 +431,13 @@ class RenderServer:
                         result = dc_replace(result, attempts=attempts)
                     break
                 except WorkerTimeout as exc:
-                    self._count("serve.worker.timeout")
+                    self.metrics.inc("jedule_serve_worker_failures_total",
+                                     labels={"kind": "timeout"})
                     result = self._failure(job, str(exc), attempts)
                     break
                 except WorkerCrash as exc:
-                    self._count("serve.worker.crash")
+                    self.metrics.inc("jedule_serve_worker_failures_total",
+                                     labels={"kind": "crash"})
                     if attempts <= self.crash_retries and \
                             self._pool.worker(index).alive:
                         continue
@@ -494,22 +450,23 @@ class RenderServer:
         with self._jobs_lock:
             self._seq += 1
             job.seq = self._seq
-        self._transition(job, "done" if result.ok else "failed")
-        latency = job.finished_at - job.submitted_at
-        with self._stats_lock:
-            self._latencies.append(latency)
+        # count before the transition: a client that sees the job finished
+        # must also see it in /statz and /metricz
         self.metrics.observe(
             STAGE_FAMILY, max(job.finished_at - job.started_at, 0.0),
             labels={"stage": "worker"})
-        self.metrics.observe(STAGE_FAMILY, max(latency, 0.0),
-                             labels={"stage": "total"})
-        self._count("serve.jobs.ok" if result.ok else "serve.jobs.failed")
+        self.metrics.observe(
+            STAGE_FAMILY, max(job.finished_at - job.submitted_at, 0.0),
+            labels={"stage": "total"})
+        self.metrics.inc("jedule_serve_jobs_total",
+                         labels={"status": "ok" if result.ok else "failed"})
         if result.cache in ("hit", "miss", "off"):
-            self._count(f"serve.cache.{result.cache}")
+            self.metrics.inc("jedule_serve_cache_total",
+                             labels={"outcome": result.cache})
         if result.ok and result.nbytes:
             self.metrics.inc("jedule_serve_bytes_rendered_total",
                              result.nbytes)
-        _obs.add("serve.latency_ms", latency * 1000.0)
+        self._transition(job, "done" if result.ok else "failed")
         if job.trace_id is not None:
             self._stitch(job, result)
 
@@ -541,15 +498,6 @@ class RenderServer:
             cache="off" if self.cache_dir is None else "miss",
             error=error, attempts=attempts)
 
-    def _count(self, name: str, value: float = 1.0) -> None:
-        with self._stats_lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
-        _obs.add(name, value)
-        mapped = _METRIC_MAP.get(name)
-        if mapped is not None:
-            family, labels = mapped
-            self.metrics.inc(family, value, labels=labels)
-
     def _build_metrics(self) -> Metrics:
         """Declare every /metricz family (gauges read live at scrape)."""
         m = Metrics()
@@ -576,6 +524,8 @@ class RenderServer:
                   fn=lambda: self._pool.total_restarts)
         m.counter("jedule_serve_requests_total",
                   "POST /render admissions attempted.")
+        m.counter("jedule_serve_jobs_submitted_total",
+                  "Jobs admitted to the queue.")
         m.counter("jedule_serve_jobs_total",
                   "Finished jobs by status (ok|failed).")
         m.counter("jedule_serve_cache_total",
@@ -607,34 +557,38 @@ class RenderServer:
             counts[status] = counts.get(status, 0) + 1
 
     # ------------------------------------------------------------ endpoints
-    def submit_payload(self, doc: object, *, client: str | None = None,
-                       trace_id: str | None = None):
-        """Admit one job; returns ``(status, payload, headers)``.
+    def submit_body(self, body: bytes | None, *, client: str | None = None,
+                    trace_id: str | None = None):
+        """Admit one ``POST /render`` body; returns ``(status, payload,
+        headers)``.  ``body`` is ``None`` when it was missing or oversized.
 
         ``trace_id`` is the client-minted ``X-Jedule-Trace`` value; when
         absent (and job tracing is on) the server mints one, so every
         admitted job has a stitched request trace either way.
         """
-        self._count("serve.requests")
+        self.metrics.inc("jedule_serve_requests_total")
+        if body is None:
+            return self._invalid("bad-body", "missing or oversized body")
+        try:
+            doc = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return self._invalid("bad-json", f"body is not JSON: {exc}")
         if self._draining:
-            self._count("serve.rejected.draining")
-            return 503, _error("draining", "server is draining"), {}
+            return self._refuse_draining()
         if not isinstance(doc, dict):
-            return 400, _error("bad-body", "body must be a JSON object"), {}
+            return self._invalid("bad-body", "body must be a JSON object")
         allowed = {"request", "schedule", "client"}
         if self._pool.debug_hooks:  # test-only worker hooks (x_crash, ...)
             allowed.add("debug")
         unknown = set(doc) - allowed
         if unknown:
-            self._count("serve.rejected.invalid")
-            return 400, _error(
+            return self._invalid(
                 "unknown-field",
-                f"unknown body field(s): {', '.join(sorted(unknown))}"), {}
+                f"unknown body field(s): {', '.join(sorted(unknown))}")
         try:
             request = request_from_payload(doc.get("request") or {})
         except ServeError as exc:
-            self._count("serve.rejected.invalid")
-            return 400, {"error": exc.to_payload()}, {}
+            return self._invalid(**exc.to_payload())
 
         schedule_bytes = None
         schedule_doc = doc.get("schedule")
@@ -644,15 +598,13 @@ class RenderServer:
             try:
                 schedule = from_dict(schedule_doc, source="<submit>")
             except ParseError as exc:
-                self._count("serve.rejected.invalid")
-                return 400, _error("bad-schedule", str(exc)), {}
+                return self._invalid("bad-schedule", str(exc))
             schedule_bytes = canonical_schedule_bytes(schedule)
         elif request.input_path is None:
-            self._count("serve.rejected.invalid")
-            return 400, _error(
+            return self._invalid(
                 "missing-input",
                 "job needs either request.input_path or an inline schedule",
-                field="input_path"), {}
+                field="input_path")
 
         debug = doc.get("debug") if self._pool.debug_hooks else None
         if self.trace_jobs and trace_id is None:
@@ -674,17 +626,27 @@ class RenderServer:
             with self._jobs_lock:
                 self._job_states["queued"] -= 1
             if isinstance(exc, QueueFull):
-                self._count("serve.rejected.queue_full")
+                self.metrics.inc("jedule_serve_rejected_total",
+                                 labels={"reason": "queue-full"})
                 return (429, {"error": exc.to_payload()},
                         {"Retry-After": self._retry_after()})
-            self._count("serve.rejected.draining")
-            return 503, _error("draining", "server is draining"), {}
+            return self._refuse_draining()
         with self._jobs_lock:
             self._jobs[job.id] = job
             self._prune_jobs()
-        self._count("serve.jobs.submitted")
+        self.metrics.inc("jedule_serve_jobs_submitted_total")
         _obs.gauge("serve.queue.depth", depth)
         return 202, {"job": job.to_payload(), "queue_depth": depth}, {}
+
+    def _invalid(self, code: str, message: str, **extra):
+        self.metrics.inc("jedule_serve_rejected_total",
+                         labels={"reason": "invalid"})
+        return 400, _error(code, message, **extra), {}
+
+    def _refuse_draining(self):
+        self.metrics.inc("jedule_serve_rejected_total",
+                         labels={"reason": "draining"})
+        return 503, _error("draining", "server is draining"), {}
 
     def _prune_jobs(self) -> None:
         # caller holds _jobs_lock; drop oldest *finished* jobs beyond cap
@@ -698,9 +660,8 @@ class RenderServer:
                 self._job_states[dropped.status] -= 1
 
     def _retry_after(self) -> int:
-        with self._stats_lock:
-            sample = list(self._latencies)
-        avg = (sum(sample) / len(sample)) if sample else 1.0
+        total = self.metrics.stage_histogram(STAGE_FAMILY, "total")
+        avg = total.mean if total is not None and total.count else 1.0
         backlog = len(self._queue) * avg / max(self._pool.alive_count, 1)
         return max(1, min(60, math.ceil(backlog)))
 
@@ -768,9 +729,7 @@ class RenderServer:
         }
 
     def statz_payload(self) -> dict:
-        with self._stats_lock:
-            counters = dict(self._counters)
-            sample = list(self._latencies)
+        snapshot = self.metrics.snapshot()
         with self._jobs_lock:
             # O(1) snapshot kept by _transition — never walks the dict
             states = {k: v for k, v in self._job_states.items() if v}
@@ -789,9 +748,8 @@ class RenderServer:
                 "restarts": self._pool.total_restarts,
             },
             "jobs": states,
-            "counters": counters,
-            "latency_s": {**latency_percentiles(sample),
-                          "count": len(sample)},
+            "counters": snapshot["counters"],
+            "latency_s": _stage_summaries(snapshot),
         }
 
     # ------------------------------------------------------------- runlog
@@ -800,20 +758,18 @@ class RenderServer:
             return
         from repro.obs.runlog import RunLog, record_from_trace
 
-        with self._stats_lock:
-            counters = dict(self._counters)
-            sample = list(self._latencies)
+        snapshot = self.metrics.snapshot()
+        stages = _stage_summaries(snapshot)
         # the drain record ALWAYS carries the whole-job percentiles and
         # every per-stage section, zeros included — consumers (CI, the
         # regress gate) must never have to guard against missing keys
-        timings_s: dict[str, list[float]] = {
-            key: [value] for key, value in latency_percentiles(sample).items()
-        }
+        labels = ("p50", "p95", "p99")
+        total = stages.get("total", {})  # the whole job
+        timings_s = {label: [total.get(label, 0.0)] for label in labels}
         for stage in ("queue_wait", "worker", "total"):
-            hist = self.metrics.stage_histogram(STAGE_FAMILY, stage)
-            for q, label in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
-                value = hist.percentile(q) if hist is not None else 0.0
-                timings_s[f"{stage}_{label}"] = [value]
+            summary = stages.get(stage, {})
+            for label in labels:
+                timings_s[f"{stage}_{label}"] = [summary.get(label, 0.0)]
         record = record_from_trace(
             "serve", self.name,
             _obs.current_trace() if _obs.is_enabled() else None,
@@ -823,6 +779,13 @@ class RenderServer:
                   "queue_peak": self._queue.peak_depth,
                   "cache_dir": self.cache_dir,
                   "restarts": self._pool.total_restarts,
-                  "jobs": int(counters.get("serve.jobs.submitted", 0))})
-        record.counters.update(counters)
+                  "jobs": int(snapshot["counters"][
+                      "jedule_serve_jobs_submitted_total"])})
+        record.counters.update(snapshot["counters"])
         RunLog(self.runlog).append(record)
+
+
+def _stage_summaries(snapshot: dict) -> dict[str, dict]:
+    """Per-stage ``{count, p50, p95, p99}`` of the job latency histogram."""
+    return {dict(labels)["stage"]: summary for labels, summary
+            in snapshot["histograms"][STAGE_FAMILY].items()}

@@ -113,4 +113,4 @@ def test_serve_daemon_drains_on_sigterm(tmp_path, manifest):
             proc.communicate(timeout=10)
     record = json.loads(runlog.read_text().splitlines()[-1])
     assert record["suite"] == "serve"
-    assert record["counters"]["serve.jobs.ok"] == 2
+    assert record["counters"]['jedule_serve_jobs_total{status="ok"}'] == 2

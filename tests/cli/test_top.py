@@ -59,8 +59,7 @@ def test_render_dashboard_handles_empty_server():
         {"uptime_s": 1.0, "draining": False,
          "queue": {"depth": 0, "capacity": 64, "peak": 0, "by_client": {}},
          "workers": {"total": 2, "alive": 2, "restarts": 0},
-         "jobs": {}, "counters": {}},
-        "")
+         "jobs": {}, "counters": {}, "latency_s": {}})
     assert "(no jobs finished yet)" in frame
     assert "0/64" in frame
 
@@ -70,7 +69,6 @@ def test_render_dashboard_draining_flag():
         {"uptime_s": 5.0, "draining": True,
          "queue": {"depth": 3, "capacity": 8, "peak": 5, "by_client": {}},
          "workers": {"total": 1, "alive": 1, "restarts": 0},
-         "jobs": {}, "counters": {}},
-        "")
+         "jobs": {}, "counters": {}, "latency_s": {}})
     assert "DRAINING" in frame
     assert "peak 5" in frame

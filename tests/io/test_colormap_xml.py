@@ -93,3 +93,12 @@ def test_composite_without_members_rejected():
 def test_conf_without_value_rejected():
     with pytest.raises(ParseError, match="<conf>"):
         colormap_xml.loads('<cmap><conf name="x"/></cmap>')
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "map.xml"
+    path.write_bytes(FIGURE2_DOC.encode("utf-8").replace(b"FFFFFF",
+                                                         b"FF\xffFFF"))
+    with pytest.raises(ParseError, match="byte offset") as err:
+        colormap_xml.load(path)
+    assert err.value.source == str(path)

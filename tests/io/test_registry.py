@@ -145,3 +145,26 @@ def test_swf_loads_as_schedule(tmp_path):
 def test_registering_formatless_format_rejected():
     with pytest.raises(ValueError, match="needs a loader or a saver"):
         register_format("void", (".void",), None, None, overwrite=True)
+
+
+@pytest.mark.parametrize("suffix", [".jed", ".json", ".csv"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, simple_schedule, suffix):
+    path = tmp_path / f"s{suffix}"
+    save_schedule(simple_schedule, path)
+    data = path.read_bytes()
+    offset = len(data) // 2
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(ParseError, match=f"byte offset {offset}") as err:
+        load_schedule(path)
+    assert err.value.source == str(path)
+
+
+def test_crlf_input_loads_like_lf(tmp_path, simple_schedule):
+    from repro.io.json_fmt import to_dict
+
+    for suffix in (".jed", ".json", ".csv"):
+        path = tmp_path / f"s{suffix}"
+        save_schedule(simple_schedule, path)
+        lf = to_dict(load_schedule(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert to_dict(load_schedule(path)) == lf, suffix

@@ -1,4 +1,4 @@
-"""Tests for the RenderRequest/RenderResult API and the deprecated shim."""
+"""Tests for the RenderRequest/RenderResult API."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.render.api import (
     execute_request,
     export_schedule,
     render_request_bytes,
-    render_schedule,
 )
 
 
@@ -119,12 +118,11 @@ def test_request_without_input_raises(tmp_path):
         execute_request(RenderRequest(output_format="svg"))
 
 
-def test_render_schedule_shim_deprecated(simple_schedule):
-    with pytest.warns(DeprecationWarning, match="render_schedule"):
-        legacy = render_schedule(simple_schedule, "svg", width=500)
-    fresh = render_request_bytes(
-        RenderRequest(output_format="svg", width=500), simple_schedule)
-    assert legacy == fresh
+def test_render_request_bytes_matches_execute_request(simple_schedule):
+    request = RenderRequest(output_format="svg", width=500)
+    data = render_request_bytes(request, simple_schedule)
+    assert b'width="500"' in data
+    assert data == execute_request(request, simple_schedule).data
 
 
 def test_export_schedule_by_suffix(tmp_path, simple_schedule):

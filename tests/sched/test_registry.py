@@ -114,25 +114,8 @@ class TestRunScheduler:
 
 
 class TestDeprecatedShims:
-    def test_import_does_not_warn_call_does(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.sched import heft_schedule  # noqa: F401
-
-        from repro.dag.generators import fork_join_dag
-        from repro.platform.builders import homogeneous_cluster
-        from repro.sched import heft_schedule
-        graph = fork_join_dag(width=3, stages=1, seed=1)
-        platform = homogeneous_cluster(4, 1e9)
-        with pytest.warns(DeprecationWarning, match="run_scheduler"):
-            old = heft_schedule(graph, platform)
-        new = run_scheduler("heft", DagProblem(graph, platform))
-        assert old.makespan == pytest.approx(new.makespan)
-
     def test_every_shim_resolves(self):
         import repro.sched as sched
-        for name in sched._DEPRECATED:
-            assert callable(getattr(sched, name))
         for name in sched._LAZY_TYPES:
             assert getattr(sched, name) is not None
 

@@ -13,7 +13,7 @@ from repro.serve.metrics import (
     escape_label_value,
     format_value,
     parse_prometheus_text,
-    quantile_from_buckets,
+    series_name,
 )
 
 
@@ -191,14 +191,46 @@ class TestMetricsRender:
                 parse_prometheus_text(bad)
 
 
-class TestQuantileFromBuckets:
-    def test_reads_bucket_upper_bound(self):
-        series = [(0.01, 90.0), (0.1, 99.0), (math.inf, 100.0)]
-        assert quantile_from_buckets(series, 0.5) == pytest.approx(0.01)
-        assert quantile_from_buckets(series, 0.95) == pytest.approx(0.1)
-        # +Inf bucket reports the largest finite bound
-        assert quantile_from_buckets(series, 1.0) == pytest.approx(0.1)
+class TestSnapshot:
+    def test_counters_keyed_by_exposition_series(self):
+        m = Metrics()
+        m.counter("jobs_total", "Jobs by status.")
+        m.counter("idle_total", "Never incremented.")
+        m.counter("restarts_total", "Read at scrape.", fn=lambda: 3)
+        m.inc("jobs_total", labels={"status": "ok"})
+        m.inc("jobs_total", 2, labels={"status": 'we"ird'})
+        counters = m.snapshot()["counters"]
+        assert counters == {
+            'jobs_total{status="ok"}': 1.0,
+            'jobs_total{status="we\\"ird"}': 2.0,
+            "idle_total": 0.0,
+            "restarts_total": 3.0,
+        }
+        assert series_name("jobs_total", {"status": "ok"}) \
+            == 'jobs_total{status="ok"}'
+        # every snapshot series is exactly a /metricz sample
+        parsed = parse_prometheus_text(m.render())
+        for series, value in counters.items():
+            (name, samples), = parse_prometheus_text(f"{series} 0").items()
+            (labels,) = samples
+            assert parsed[name][labels] == value
 
-    def test_empty_series(self):
-        assert quantile_from_buckets([], 0.5) == 0.0
-        assert quantile_from_buckets([(math.inf, 0.0)], 0.99) == 0.0
+    def test_histograms_summarised_by_histogram_percentile(self):
+        m = Metrics()
+        m.histogram("stage_seconds", "Per-stage latency.",
+                    lo=0.001, hi=10.0, buckets_per_decade=1)
+        for value in (0.005, 0.005, 0.5):
+            m.observe("stage_seconds", value, labels={"stage": "worker"})
+        summary = m.snapshot()["histograms"]["stage_seconds"]
+        hist = m.stage_histogram("stage_seconds", "worker")
+        assert summary == {(("stage", "worker"),): {
+            "count": 3, "p50": hist.percentile(0.50),
+            "p95": hist.percentile(0.95), "p99": hist.percentile(0.99)}}
+        assert summary[(("stage", "worker"),)]["p50"] == pytest.approx(0.01)
+        assert summary[(("stage", "worker"),)]["p99"] == pytest.approx(1.0)
+
+    def test_empty_registry(self):
+        m = Metrics()
+        m.histogram("stage_seconds", "Per-stage latency.")
+        assert m.snapshot() == {"counters": {},
+                                "histograms": {"stage_seconds": {}}}

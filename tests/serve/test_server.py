@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 from contextlib import contextmanager
 
@@ -11,7 +12,14 @@ from repro.errors import ServeError
 from repro.io.json_fmt import to_dict
 from repro.render.api import RenderRequest, execute_request
 from repro.serve.client import ServeClient
-from repro.serve.server import RenderServer, latency_percentiles
+from repro.serve.metrics import parse_prometheus_text
+from repro.serve.server import RenderServer
+
+JOBS_OK = 'jedule_serve_jobs_total{status="ok"}'
+CACHE_HIT = 'jedule_serve_cache_total{outcome="hit"}'
+CACHE_MISS = 'jedule_serve_cache_total{outcome="miss"}'
+SUBMITTED = "jedule_serve_jobs_submitted_total"
+INVALID = (("reason", "invalid"),)
 
 
 @contextmanager
@@ -155,9 +163,29 @@ def test_worker_crash_retried_once_then_reported(tmp_path, simple_schedule):
         assert server.statz_payload()["workers"]["restarts"] >= 2
 
 
+def _post_raw(server, body: bytes, **headers):
+    """POST /render with a raw body; returns ``(status, parsed body)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/render", body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
     with serving(cache_dir=None) as server:
         client = ServeClient(server.url)
+        raw_cases = [
+            (b"", {"Content-Length": "-1"}, "bad-body"),
+            (b"{not json", {}, "bad-json"),
+            (b"[1, 2]", {}, "bad-body"),  # JSON, but not an object
+        ]
+        for body, headers, code in raw_cases:
+            status, doc = _post_raw(server, body, **headers)
+            assert status == 400, (body, doc)
+            assert doc["error"]["code"] == code, (body, doc)
         cases = [
             ({"request": {"width": float("nan")}}, "invalid-value"),
             ({"request": {"width": -3}}, "invalid-dimension"),
@@ -172,6 +200,32 @@ def test_validation_errors_are_structured_400s(tmp_path, simple_schedule):
             status, _, body = client.request("POST", "/render", payload)
             assert status == 400, (payload, body)
             assert body["error"]["code"] == code, (payload, body)
+        # every refused admission is counted exactly once
+        parsed = parse_prometheus_text(client.metricz())
+        refused = len(raw_cases) + len(cases)
+        assert parsed["jedule_serve_requests_total"][()] == refused
+        assert parsed["jedule_serve_rejected_total"] == {INVALID: refused}
+
+
+def test_malformed_inline_ranges_are_400_bad_schedule():
+    bad_ranges = [[[0]], [["a", 1]], [[0, 1, 2]]]
+    with serving(cache_dir=None) as server:
+        client = ServeClient(server.url)
+        for ranges in bad_ranges:
+            schedule = {"clusters": [{"id": "0", "hosts": 4}],
+                        "tasks": [{"id": "t1", "type": "computation",
+                                   "start": 0.0, "end": 1.0,
+                                   "configurations": [{"cluster": "0",
+                                                       "ranges": ranges}]}]}
+            status, _, body = client.request(
+                "POST", "/render", {"request": {}, "schedule": schedule})
+            assert status == 400, (ranges, body)
+            assert body["error"]["code"] == "bad-schedule"
+            assert "'t1'" in body["error"]["message"]
+        assert client.healthz()["ok"] is True
+        parsed = parse_prometheus_text(client.metricz())
+        assert parsed["jedule_serve_rejected_total"] \
+            == {INVALID: len(bad_ranges)}
 
 
 def test_unknown_job_is_404(tmp_path):
@@ -200,13 +254,41 @@ def test_statz_counters_and_latency(tmp_path, simple_schedule):
         for _ in range(3):
             client.render(_request(), schedule=simple_schedule)
         stats = client.statz()
-        assert stats["counters"]["serve.jobs.submitted"] == 3
-        assert stats["counters"]["serve.jobs.ok"] == 3
-        assert stats["counters"]["serve.cache.hit"] == 2
-        assert stats["counters"]["serve.cache.miss"] == 1
-        assert stats["latency_s"]["count"] == 3
-        assert stats["latency_s"]["p50"] <= stats["latency_s"]["p99"]
+        assert stats["counters"][SUBMITTED] == 3
+        assert stats["counters"][JOBS_OK] == 3
+        assert stats["counters"][CACHE_HIT] == 2
+        assert stats["counters"][CACHE_MISS] == 1
+        for stage in ("queue_wait", "worker", "total"):
+            latency = stats["latency_s"][stage]
+            assert latency["count"] == 3
+            assert latency["p50"] <= latency["p95"] <= latency["p99"]
         assert stats["workers"] == {"total": 1, "alive": 1, "restarts": 0}
+
+
+def test_statz_and_metricz_report_the_same_numbers(tmp_path,
+                                                   simple_schedule):
+    """/statz counters and latency come from the /metricz registry: every
+    counter series and the total-stage count agree sample for sample."""
+    with serving(cache_dir=str(tmp_path / "cache"), workers=2) as server:
+        client = ServeClient(server.url, client_id="agree")
+        for width in (320, 320, 400):  # the repeat is a cache hit
+            job = client.render(_request(width=width),
+                                schedule=simple_schedule)
+            assert job["status"] == "done"
+        status, _, _ = client.request("POST", "/render", {"request": {}})
+        assert status == 400  # rejected: no input
+        stats = client.statz()
+        parsed = parse_prometheus_text(client.metricz())
+    counters = stats["counters"]
+    assert counters[CACHE_HIT] == 1 and counters[SUBMITTED] == 3
+    assert counters['jedule_serve_rejected_total{reason="invalid"}'] == 1
+    for series, value in counters.items():
+        (name, samples), = parse_prometheus_text(f"{series} 0\n").items()
+        (labels,) = samples
+        assert parsed[name][labels] == value, series
+    stage_counts = parsed["jedule_serve_stage_seconds_count"]
+    assert stats["latency_s"]["total"]["count"] \
+        == stage_counts[(("stage", "total"),)] == 3
 
 
 def test_reload_replaces_workers_without_dropping_jobs(tmp_path,
@@ -231,17 +313,13 @@ def test_drain_writes_runlog_record(tmp_path, simple_schedule):
         client.render(_request(), schedule=simple_schedule)
     record = json.loads(runlog.read_text().splitlines()[-1])
     assert record["suite"] == "serve"
-    assert record["counters"]["serve.jobs.ok"] == 2
-    assert record["counters"]["serve.cache.hit"] == 1
+    assert record["counters"][JOBS_OK] == 2
+    assert record["counters"][CACHE_HIT] == 1
     assert record["meta"]["jobs"] == 2
-    assert "p95" in record["timings_s"]
-
-
-def test_latency_percentiles_helper():
-    assert latency_percentiles([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    values = list(range(1, 101))
-    pcts = latency_percentiles(values)
-    assert pcts == {"p50": 50, "p95": 95, "p99": 99}
+    timings = record["timings_s"]
+    for label in ("p50", "p95", "p99"):  # whole job = the total stage
+        assert timings[label] == timings[f"total_{label}"]
+    assert timings["p95"][0] > 0.0
 
 
 def test_drain_runlog_empty_sample_still_has_stage_keys(tmp_path):
