@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.composite import build_composite_tasks, find_overlaps
 from repro.core.model import (
@@ -98,11 +98,23 @@ def test_composite_fragments_disjoint_per_host(schedule):
             assert b0 >= a1 - 1e-12
 
 
+def _one_ulp_overlap() -> Schedule:
+    """Two tasks on one host that overlap by a single ulp."""
+    s = Schedule()
+    s.add_cluster(Cluster("0", 1))
+    s.add_task(Task("0", "a", 0.0, 0.010000000000000002, [Configuration("0", [(0, 1)])]))
+    s.add_task(Task("1", "b", 0.01, 0.02, [Configuration("0", [(0, 1)])]))
+    return s
+
+
 @given(schedules())
+@example(_one_ulp_overlap())
 @settings(max_examples=60)
 def test_composites_exactly_where_two_or_more_tasks_run(schedule):
     """A probe inside a composite fragment sees >= 2 member tasks on that
-    host; a probe outside all fragments sees <= 1 task."""
+    host.  The probe is the fragment start ``t0``: it lies in the
+    half-open ``[t0, t1)`` even when the fragment is one ulp long, where
+    the midpoint would round onto ``t1``."""
     tasks = list(schedule.tasks)
     frags = find_overlaps(tasks)
 
@@ -112,9 +124,8 @@ def test_composites_exactly_where_two_or_more_tasks_run(schedule):
                    and host in task.hosts_in("0"))
 
     for (members, t0, t1), resources in frags.items():
-        mid = (t0 + t1) / 2
         for (_, host) in resources:
-            assert active_on(host, mid) >= 2
+            assert active_on(host, t0) >= 2
 
 
 @given(schedules())
