@@ -8,7 +8,8 @@ This benchmark builds an eight-figure manifest from synthetic traces (two
 clean rounds for 4 workers) and measures:
 
 * cold serial vs. cold 4-worker wall clock (the parallel speedup claim,
-  >= 2.5x; needs >= 4 usable cores, otherwise the assertion is skipped);
+  >= 2.5x; needs >= 4 usable cores, otherwise the assertion is skipped
+  and the speedup row reads ``skipped: <reason>``);
 * cold vs. warm-cache wall clock (>= 10x; core-count independent);
 * that one corrupt input fails alone — every other figure still renders
   and the report names the failure.
@@ -105,18 +106,22 @@ def test_batch_parallel_speedup(tmp_path):
     assert serial.ok and parallel.ok
 
     speedup = serial.elapsed_s / max(parallel.elapsed_s, 1e-9)
+    # with fewer cores than workers the ratio measures the machine, not the
+    # fan-out: record it as skipped rather than as a number
+    skipped = None if cores >= 4 else f"needs >= 4 usable cores, have {cores}"
     report("batch 4-worker fan-out", [
         ("figures", "8", str(N_FIGURES)),
         ("usable cores", ">= 4", str(cores)),
         ("serial", "-", f"{serial.elapsed_s * 1e3:.1f} ms"),
         ("4 workers", "-", f"{parallel.elapsed_s * 1e3:.1f} ms"),
-        ("speedup", ">= 2.5x", f"{speedup:.2f}x"),
+        ("speedup", ">= 2.5x",
+         f"skipped: {skipped}" if skipped else f"{speedup:.2f}x"),
     ], suite="batch", entry="parallel_4x",
        timings_s={"serial": [serial.elapsed_s],
                   "parallel4": [parallel.elapsed_s]},
        metrics={"figures": N_FIGURES})
-    if cores < 4:
-        pytest.skip(f"speedup assertion needs >= 4 usable cores, have {cores}")
+    if skipped:
+        pytest.skip(f"speedup assertion {skipped}")
     assert speedup >= 2.5, f"4 workers only {speedup:.2f}x faster"
 
 

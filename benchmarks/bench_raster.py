@@ -8,13 +8,21 @@ Scully-Allison & Isaacs' 100k-task traces) on a 2000x1200 canvas at three
 scales and times each stage separately, so ``BENCH_raster.json`` holds a
 committed trajectory for the regression gate.
 
-Two invariants are asserted on every run:
+Those fields are fill-only, but every task rect ``layout_schedule`` emits
+is stroked.  So the benchmark also rasterizes the drawing the real
+pipeline hands the rasterizer at 100k tasks: ``layout_schedule`` of the
+``bench_lod_scaling`` cluster trace at the default 900x480 canvas, LOD
+off — ~1000 host rows under 1 px each, rect widths from sub-pixel to ~25
+px, every rect stroked — and reports its rasterize time as a ratio to
+the 100k fill-only field.
+
+Three invariants are asserted on every run:
 
 * ``decode(encode(img))`` is pixel-identical — the encoder's output must
   keep round-tripping through our own decoder, at every scale;
 * batched rasterization is pixel-identical to the naive per-primitive
-  z-order walk (checked here on the 1k drawing against per-item
-  ``fill_rect`` calls).
+  z-order walk, on the 1k fill-only field and on the 100k stroked
+  layout.
 
 The committed baseline was measured *after* the vectorization PR; the
 pre-change numbers for the 100k drawing (same machine, same drawing) were
@@ -30,9 +38,12 @@ from __future__ import annotations
 import numpy as np
 from conftest import persist, report
 
+from bench_lod_scaling import synthetic_trace
+
 from repro.core.colormap import Color
 from repro.obs.bench import time_min_of_k
-from repro.render.geometry import Drawing, Rect
+from repro.render.geometry import Drawing, Line, Rect, Text
+from repro.render.layout import layout_schedule
 from repro.render.png_codec import decode_png, encode_png
 from repro.render.raster import RasterImage, rasterize
 
@@ -63,11 +74,27 @@ def rect_field(n: int, width: int = WIDTH, height: int = HEIGHT,
     return d
 
 
+def stroked_layout(n: int) -> Drawing:
+    """What the PNG pipeline rasterizes for an n-task trace, LOD off."""
+    return layout_schedule(synthetic_trace(n), lod="off")
+
+
 def reference_rasterize(drawing: Drawing) -> RasterImage:
     """Naive per-primitive walk — the semantics batching must reproduce."""
     img = RasterImage(drawing.width, drawing.height, drawing.background)
     for item in drawing:
-        img.fill_rect(item.x, item.y, item.w, item.h, item.fill)
+        if isinstance(item, Rect):
+            if item.fill is not None:
+                img.fill_rect(item.x, item.y, item.w, item.h, item.fill)
+            if item.stroke is not None:
+                img.stroke_rect(item.x, item.y, item.w, item.h, item.stroke,
+                                item.stroke_width)
+        elif isinstance(item, Line):
+            img.draw_line(item.x0, item.y0, item.x1, item.y1, item.color,
+                          item.width)
+        elif isinstance(item, Text):
+            img.draw_text(item.x, item.y, item.text, item.color, item.size,
+                          item.halign, item.valign, item.rotated)
     return img
 
 
@@ -102,7 +129,22 @@ def test_raster_pipeline(benchmark):
         rows.append((f"{n} rects decode", "-",
                      f"{min(decode_runs) * 1e3:.1f} ms"))
 
+    # The pipeline's own drawing: every task rect stroked.
+    stroked = stroked_layout(SIZES[-1])
+    assert np.array_equal(rasterize(stroked).pixels,
+                          reference_rasterize(stroked).pixels)
+    stroked_runs = time_min_of_k(lambda: rasterize(stroked))
+    ratio = min(stroked_runs) / min(stage_runs[SIZES[-1]]["rasterize"])
+    rows.append((f"{SIZES[-1]} stroked layout rasterize (900x480)",
+                 "<= 2x fill-only",
+                 f"{min(stroked_runs) * 1e3:.0f} ms ({ratio:.2f}x fill-only)"))
+
     report("Raster/PNG hot path (2000x1200)", rows)
+    persist("raster", f"stroked_layout_{SIZES[-1]}",
+            timings_s={"rasterize": stroked_runs},
+            metrics={"rects": len(stroked.rects),
+                     "stroked_rects": sum(1 for r in stroked.rects
+                                          if r.stroke is not None)})
     for n in SIZES:
         persist("raster", f"pipeline_{n}", timings_s=stage_runs[n])
 

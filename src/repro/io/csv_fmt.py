@@ -119,64 +119,71 @@ def loads(text: str, *, source: str = "<string>") -> Schedule:
     if not data_lines:
         return schedule
 
-    reader = csv.DictReader(data_lines)
-    missing = set(_COLUMNS) - set(reader.fieldnames or [])
+    # csv.DictReader's row mapping, by column index: the first row names
+    # the columns (the last of a repeated name wins), empty rows are
+    # skipped, and a row is short or long against the header's width.
+    reader = csv.reader(data_lines)
+    fieldnames = next(reader)
+    missing = set(_COLUMNS) - set(fieldnames)
     if missing:
         raise ParseError(f"missing CSV columns: {sorted(missing)}",
                          source=source, line=line_nos[0])
+    col = {name: i for i, name in enumerate(fieldnames)}
+    i_tid, i_type, i_start, i_end, i_cluster, i_hosts = (col[c] for c in _COLUMNS)
+    width = len(fieldnames)
 
     # Group rows by task id: multi-configuration tasks span several rows.
     # Each row keeps its original line number for error context.
-    rows_by_task: dict[str, list[tuple[dict[str, str], int]]] = {}
-    order: list[str] = []
+    rows_by_task: dict[str, list[tuple[list[str], int]]] = {}
     n_rows = 0
-    for i, row in enumerate(reader):
+    for i, row in enumerate(r for r in reader if r):
         lineno = line_nos[i + 1] if i + 1 < len(line_nos) else line_nos[-1]
-        if None in row:
+        if len(row) != width:
             raise ParseError(
-                f"row has more fields than the {len(_COLUMNS)} columns",
-                source=source, line=lineno)
-        if any(v is None for v in row.values()):
-            raise ParseError(
-                f"row has fewer fields than the {len(_COLUMNS)} columns",
-                source=source, line=lineno)
-        tid = row["task_id"]
-        if tid not in rows_by_task:
-            order.append(tid)
-        rows_by_task.setdefault(tid, []).append((row, lineno))
+                f"row has {'more' if len(row) > width else 'fewer'} fields "
+                f"than the {len(_COLUMNS)} columns", source=source, line=lineno)
+        rows_by_task.setdefault(row[i_tid], []).append((row, lineno))
         n_rows += 1
     _obs.add("io.records", n_rows)
 
+    # Each host spec is parsed once: configurations are immutable, so rows
+    # with the same cluster and host text share one.
+    interned: dict[tuple[str, str], Configuration] = {}
     inferred_extent: dict[str, int] = {}
+    task_confs: list[list[Configuration]] = []
     for rows in rows_by_task.values():
+        confs = []
         for row, lineno in rows:
-            ranges = parse_hosts(row["hosts"], source=source, line=lineno)
-            extent = max(r.stop for r in ranges)
-            cid = row["cluster"]
-            inferred_extent[cid] = max(inferred_extent.get(cid, 0), extent)
+            key = (row[i_cluster], row[i_hosts])
+            conf = interned.get(key)
+            if conf is None:
+                cid, hosts = key
+                conf = interned[key] = Configuration(
+                    cid, parse_hosts(hosts, source=source, line=lineno))
+                extent = conf.host_ranges[-1].stop
+                if extent > inferred_extent.get(cid, 0):
+                    inferred_extent[cid] = extent
+            confs.append(conf)
+        task_confs.append(confs)
     for cid in sorted(inferred_extent):
         if not schedule.has_cluster(cid):
             schedule.add_cluster(Cluster(cid, inferred_extent[cid]))
 
-    for tid in order:
-        rows = rows_by_task[tid]
+    for (tid, rows), confs in zip(rows_by_task.items(), task_confs):
         first, first_line = rows[0]
-        confs = []
         for row, lineno in rows:
-            if row["type"] != first["type"] or row["start"] != first["start"] \
-                    or row["end"] != first["end"]:
+            if row[i_type] != first[i_type] or row[i_start] != first[i_start] \
+                    or row[i_end] != first[i_end]:
                 raise ParseError(
                     f"task {tid!r}: inconsistent attributes across its rows",
                     source=source, line=lineno)
-            confs.append(Configuration(
-                row["cluster"], parse_hosts(row["hosts"], source=source, line=lineno)))
         try:
-            start, end = float(first["start"]), float(first["end"])
+            start, end = float(first[i_start]), float(first[i_end])
         except ValueError:
             raise ParseError(f"task {tid!r}: non-numeric times",
                              source=source, line=first_line) from None
         try:
-            schedule.add_task(Task(tid, first["type"], start, end, confs))
+            schedule.add_task(Task(tid, first[i_type], start, end, confs))
         except ScheduleError as exc:
             raise ParseError(f"task {tid!r}: {exc}",
                              source=source, line=first_line) from None

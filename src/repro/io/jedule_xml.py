@@ -386,6 +386,10 @@ def dumps(schedule: Schedule) -> str:
         write("  <node_infos />\n</jedule>\n")
     else:
         write("  <node_infos>\n")
+        # Loaders intern equal configurations, so many tasks share one:
+        # each distinct one is formatted once.  Keyed by identity, which
+        # the schedule keeps alive for the whole call.
+        conf_texts: dict[int, str] = {}
         for t in tasks:
             write('    <node_statistics>\n'
                   f'      <node_property name="id" value="{_attr(t.id)}" />\n'
@@ -395,7 +399,10 @@ def dumps(schedule: Schedule) -> str:
             for k, v in t.meta.items():
                 write(_prop("node_property", "      ", k, str(v)))
             for conf in t.configurations:
-                write(_conf_text(conf))
+                piece = conf_texts.get(id(conf))
+                if piece is None:
+                    piece = conf_texts[id(conf)] = _conf_text(conf)
+                write(piece)
             write("    </node_statistics>\n")
         write("  </node_infos>\n</jedule>\n")
     text = "".join(out)

@@ -163,6 +163,33 @@ def _header_entry(line: str) -> tuple[str, str] | None:
     return key, value.strip()
 
 
+def _utf8_lines(path: Path) -> Iterator[str]:
+    """The lines of ``path`` decoded as UTF-8, read one at a time.
+
+    Lines split as text mode splits them (``\\n``, ``\\r\\n`` or ``\\r``).  A
+    byte sequence that is not UTF-8 raises :class:`ParseError` with the
+    path, the line and the byte offset in the file, as
+    :func:`repro.io.text.read_utf8` does for the loaders that read whole
+    files.  Undecodable bytes arrive as lone surrogates
+    (``surrogateescape``); valid UTF-8 never decodes to one.
+    """
+    offset = 0
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isascii():
+                offset += len(line)
+                yield line
+                continue
+            try:
+                offset += len(line.encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                at = offset + len(line[:exc.start].encode("utf-8"))
+                raise ParseError(
+                    f"invalid UTF-8 byte 0x{ord(line[exc.start]) - 0xDC00:02x} "
+                    f"at byte offset {at}", source=str(path), line=lineno) from None
+            yield line
+
+
 def _scan(lines: Iterable[str], *, source: str,
           header: dict[str, str] | None) -> Iterator[SWFJob]:
     """Yield job records from SWF lines, collecting header metadata into
@@ -204,8 +231,7 @@ def iter_load(path: str | Path, *, header: dict[str, str] | None = None) -> Iter
     data lines, see :func:`load_header`).
     """
     path = Path(path)
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        yield from _scan(fh, source=str(path), header=header)
+    yield from _scan(_utf8_lines(path), source=str(path), header=header)
 
 
 def load_header(path: str | Path) -> dict[str, str]:
@@ -215,16 +241,15 @@ def load_header(path: str | Path) -> dict[str, str]:
     """
     path = Path(path)
     header: dict[str, str] = {}
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.startswith(";"):
-                break
-            entry = _header_entry(line)
-            if entry is not None:
-                header.setdefault(entry[0], entry[1])
+    for raw in _utf8_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith(";"):
+            break
+        entry = _header_entry(line)
+        if entry is not None:
+            header.setdefault(entry[0], entry[1])
     return header
 
 
@@ -233,8 +258,8 @@ def load(path: str | Path) -> SWFTrace:
     """Parse an SWF file, streaming its lines rather than slurping the text."""
     path = Path(path)
     trace = SWFTrace()
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        trace.jobs.extend(_scan(fh, source=str(path), header=trace.header))
+    trace.jobs.extend(_scan(_utf8_lines(path), source=str(path),
+                            header=trace.header))
     _obs.add("io.records", len(trace.jobs))
     return trace
 

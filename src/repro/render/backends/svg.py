@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from xml.sax.saxutils import escape, quoteattr
 
 from repro.render.geometry import Drawing, HAlign, Line, Rect, Text, VAlign
@@ -17,6 +18,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+#: characters :func:`xml.sax.saxutils.quoteattr` rewrites or quotes around
+_ATTR_SPECIAL = re.compile(r'[&<>"\n\r\t]')
+
+
+def _quoteattr(value: str) -> str:
+    """:func:`~xml.sax.saxutils.quoteattr`, short-cut for plain values."""
+    if _ATTR_SPECIAL.search(value) is None:
+        return f'"{value}"'
+    return quoteattr(value)
+
+
 def render_svg(drawing: Drawing) -> bytes:
     """Serialize a drawing as a standalone SVG document."""
     out = [
@@ -27,19 +39,25 @@ def render_svg(drawing: Drawing) -> bytes:
         f'<rect width="{drawing.width}" height="{drawing.height}" '
         f'fill="{drawing.background.css()}"/>',
     ]
+    # A drawing reuses a handful of (fill, stroke, stroke width) triples, so
+    # each rect's paint attributes are built once per drawing.  The colors
+    # are keyed by identity (the drawing keeps them alive); equal colors
+    # behind two objects merely build the same string twice.
+    paints: dict[tuple, str] = {}
     for item in drawing:
         if isinstance(item, Rect):
-            attrs = [
-                f'x="{_fmt(item.x)}" y="{_fmt(item.y)}" '
-                f'width="{_fmt(item.w)}" height="{_fmt(item.h)}"'
-            ]
-            attrs.append(f'fill="{item.fill.css()}"' if item.fill else 'fill="none"')
-            if item.stroke:
-                attrs.append(f'stroke="{item.stroke.css()}" '
-                             f'stroke-width="{_fmt(item.stroke_width)}"')
-            if item.ref:
-                attrs.append(f"data-ref={quoteattr(item.ref)}")
-            out.append(f"<rect {' '.join(attrs)}/>")
+            key = (id(item.fill), id(item.stroke), item.stroke_width)
+            paint = paints.get(key)
+            if paint is None:
+                paint = f'fill="{item.fill.css()}"' if item.fill else 'fill="none"'
+                if item.stroke:
+                    paint += (f' stroke="{item.stroke.css()}" '
+                              f'stroke-width="{_fmt(item.stroke_width)}"')
+                paints[key] = paint
+            ref = f" data-ref={_quoteattr(item.ref)}" if item.ref else ""
+            out.append(f'<rect x="{_fmt(item.x)}" y="{_fmt(item.y)}" '
+                       f'width="{_fmt(item.w)}" height="{_fmt(item.h)}" '
+                       f"{paint}{ref}/>")
         elif isinstance(item, Line):
             out.append(
                 f'<line x1="{_fmt(item.x0)}" y1="{_fmt(item.y0)}" '

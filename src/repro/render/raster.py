@@ -7,13 +7,15 @@ rasterizer implements the drawing-primitive vocabulary of
 :mod:`repro.render.geometry` and nothing more.
 
 :func:`rasterize` does not dispatch one Python call per primitive: runs of
-consecutive fill-only rects are collected and painted as a batch —
-coordinate snapping/clipping is computed with array arithmetic for the
-whole run, rects are grouped into a distinct-color palette, and large runs
-paint palette *indices* into a scalar scratch canvas that is resolved to
-RGB in one whole-canvas gather.  Painting order is preserved exactly in
-every path (the last index written to a pixel wins), so batched output is
-pixel-identical to the naive per-primitive z-order walk.
+consecutive rects (filled, stroked or both) are collected and painted as a
+batch — each rect is expanded into the fill and edge rects the scalar path
+would paint, coordinate snapping/clipping is computed with array
+arithmetic for the whole run, pieces are grouped into a distinct-color
+palette, and large runs paint palette *indices* into a scalar scratch
+canvas that is resolved to RGB in one whole-canvas gather.  Painting order
+is preserved exactly in every path (the last index written to a pixel
+wins), so batched output is pixel-identical to the naive per-primitive
+z-order walk.
 
 All pixel snapping uses half-up rounding (``floor(v + 0.5)``) rather than
 Python's banker's rounding: two rects sharing an edge at a ``*.5``
@@ -23,6 +25,7 @@ between 1-px overlaps and 1-px gaps by parity.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -188,24 +191,36 @@ class RasterImage:
         return int(match.sum())
 
 
-# ------------------------------------------------------------ batched fills
+# ------------------------------------------------------------ batched rects
 
-#: below this run length the per-item ``fill_rect`` path is cheaper than
-#: setting up the array arithmetic.
+#: below this run length the per-item path is cheaper than setting up the
+#: array arithmetic.
 _BATCH_MIN = 8
 
-#: a run at least this fraction of the canvas pixel count (in rect count)
+#: a run at least this fraction of the canvas pixel count (in piece count)
 #: pays for the whole-canvas index-compositing pass.
 _SCRATCH_DIVISOR = 64
 
 
-def _rect_bounds(img: RasterImage, rects: list[Rect]):
-    """Vectorized :meth:`RasterImage.fill_rect` coordinate pass.
+def _rect_pieces(img: RasterImage, rects: list[Rect]):
+    """Vectorized expansion of a rect run into the fills the scalar path makes.
 
-    Returns integer ``(x0, y0, x1, y1)`` bound arrays for the visible rects
-    of the run plus ``(inv, palette)`` — per-rect indices into the run's
-    distinct-color palette — applying the same normalize / half-up snap /
-    clip / sub-pixel-bump rules as the scalar method.
+    Each rect becomes up to five pieces, in painting order: its fill, then
+    the top, bottom, left and right edges :meth:`RasterImage.stroke_rect`
+    paints as integer rects.  A filled, stroked rect whose snapped box
+    ``B`` is at least ``t`` (the snapped stroke width) on each side and
+    meets the canvas paints exactly ``B`` in the stroke colour with its
+    interior ``B`` shrunk by ``t`` in the fill colour: the four edges then
+    cover ``B`` minus that interior and the fill equals ``B``.  Such rects
+    take two pieces instead of five; every other rect (thinner than its
+    stroke, unfilled, or off the canvas, where the fill's sub-pixel bump
+    can differ from ``B``) keeps the five.
+
+    Every piece then goes through the same normalize / half-up snap /
+    clip / sub-pixel-bump rules as :meth:`RasterImage.fill_rect`.
+    Returns integer ``(x0, y0, x1, y1)`` bound arrays of the visible
+    pieces plus ``(inv, palette)`` — per-piece indices into the run's
+    distinct-color palette.
     """
     n = len(rects)
     xs = np.fromiter((r.x for r in rects), np.float64, count=n)
@@ -220,8 +235,54 @@ def _rect_bounds(img: RasterImage, rects: list[Rect]):
     if neg.any():
         ys = np.where(neg, ys + hs, ys)
         hs = np.abs(hs)
+
+    # Distinct colors -> palette indices, keyed by object identity (layouts
+    # reuse a handful of Color instances; two equal colors behind different
+    # objects merely get two palette rows, which is harmless).  None gets a
+    # row too; the pieces that would use it are masked out below.
+    ids = np.fromiter(
+        itertools.chain((id(r.fill) for r in rects),
+                        (id(r.stroke) for r in rects)), np.int64, count=2 * n)
+    _, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+    rows = []
+    for i in first.tolist():
+        c = rects[i].fill if i < n else rects[i - n].stroke
+        rows.append((0, 0, 0) if c is None else (c.r, c.g, c.b))
+    palette = np.array(rows, np.uint8)
+    fill_ci, stroke_ci = inv[:n], inv[n:]
+    has_fill, has_stroke = ids[:n] != id(None), ids[n:] != id(None)
+
+    if has_stroke.any():
+        sws = np.fromiter((r.stroke_width for r in rects), np.float64, count=n)
+        t = np.maximum(np.floor(sws + 0.5), 1.0)
+        sx0, sy0 = np.floor(xs + 0.5), np.floor(ys + 0.5)
+        sx1, sy1 = np.floor(xs + ws + 0.5), np.floor(ys + hs + 0.5)
+        bw, bh = sx1 - sx0, sy1 - sy0
+        ring = (has_fill & has_stroke & (bw >= t) & (bh >= t)
+                & (sx1 > 0) & (sy1 > 0) & (sx0 < img.width) & (sy0 < img.height))
+        edges = has_stroke & ~ring
+        # slot 0: the fill (or the whole box in the stroke colour);
+        # slot 1: the top edge (or the interior in the fill colour);
+        # slots 2-4: the bottom, left and right edges.
+        xs = np.stack([np.where(ring, sx0, xs), np.where(ring, sx0 + t, sx0),
+                       sx0, sx0, sx1 - t], axis=1).ravel()
+        ys = np.stack([np.where(ring, sy0, ys), np.where(ring, sy0 + t, sy0),
+                       sy1 - t, sy0, sy0], axis=1).ravel()
+        ws = np.stack([np.where(ring, bw, ws), np.where(ring, bw - 2 * t, bw),
+                       bw, t, t], axis=1).ravel()
+        hs = np.stack([np.where(ring, bh, hs), np.where(ring, bh - 2 * t, t),
+                       t, bh, bh], axis=1).ravel()
+        ci = np.stack([np.where(ring, stroke_ci, fill_ci),
+                       np.where(ring, fill_ci, stroke_ci),
+                       stroke_ci, stroke_ci, stroke_ci], axis=1).ravel()
+        keep = np.stack([has_fill,
+                         np.where(ring, (bw > 2 * t) & (bh > 2 * t), edges),
+                         edges, edges, edges], axis=1).ravel()
+    else:
+        ci, keep = fill_ci, has_fill
+
     iw, ih = img.width, img.height
-    visible = (xs + ws > 0) & (ys + hs > 0) & (xs < iw) & (ys < ih)
+    visible = keep & (xs + ws > 0) & (ys + hs > 0) & (xs < iw) & (ys < ih)
     x0 = np.maximum(np.floor(xs + 0.5), 0).astype(np.int64)
     y0 = np.maximum(np.floor(ys + 0.5), 0).astype(np.int64)
     x1 = np.minimum(np.floor(xs + ws + 0.5), iw).astype(np.int64)
@@ -231,33 +292,14 @@ def _rect_bounds(img: RasterImage, rects: list[Rect]):
     bump = (hs > 0) & (y1 <= y0) & (y0 < ih)
     y1[bump] = y0[bump] + 1
     visible &= (x1 > x0) & (y1 > y0)
-
-    # Distinct fill colors -> palette indices.  Keyed by object identity
-    # (layouts reuse a handful of Color instances); two equal colors behind
-    # different objects merely get two palette rows, which is harmless.
-    memo: dict[int, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    inv_list: list[int] = []
-    append = inv_list.append
-    for r in rects:
-        f = r.fill
-        ci = memo.get(id(f))
-        if ci is None:
-            memo[id(f)] = ci = len(rows)
-            rows.append((f.r, f.g, f.b))
-        append(ci)
-    inv = np.array(inv_list, np.int64)
-    palette = np.array(rows, np.uint8)
-    if not visible.all():
-        idx = np.flatnonzero(visible)
-        x0, y0, x1, y1, inv = x0[idx], y0[idx], x1[idx], y1[idx], inv[idx]
-    return x0, y0, x1, y1, inv, palette
+    idx = np.flatnonzero(visible)
+    return x0[idx], y0[idx], x1[idx], y1[idx], ci[idx], palette
 
 
 def _paint_scratch(img: RasterImage, x0, y0, x1, y1, inv, palette) -> None:
     """Whole-canvas index compositing for big runs.
 
-    Rect palette indices are painted into a scalar int32 scratch canvas
+    Piece palette indices are painted into a scalar int32 scratch canvas
     (a scalar slice assignment is several times cheaper than broadcasting
     an RGB triple), then resolved to pixels in one gather + masked copy.
     The last index written to a pixel wins, so z-order is exact even for
@@ -284,13 +326,16 @@ def _paint_ordered(img: RasterImage, x0, y0, x1, y1, inv, palette) -> None:
         px[b0:b1, a0:a1] = rgbs[ci]
 
 
-def _fill_rects(img: RasterImage, rects: list[Rect]) -> None:
-    """Paint a run of fill-only rects, batched when the run is long enough."""
+def _paint_rects(img: RasterImage, rects: list[Rect]) -> None:
+    """Paint a run of rects, batched when the run is long enough."""
     if len(rects) < _BATCH_MIN:
         for r in rects:
-            img.fill_rect(r.x, r.y, r.w, r.h, r.fill)
+            if r.fill is not None:
+                img.fill_rect(r.x, r.y, r.w, r.h, r.fill)
+            if r.stroke is not None:
+                img.stroke_rect(r.x, r.y, r.w, r.h, r.stroke, r.stroke_width)
         return
-    x0, y0, x1, y1, inv, palette = _rect_bounds(img, rects)
+    x0, y0, x1, y1, inv, palette = _rect_pieces(img, rects)
     if len(inv) == 0:
         return
     if len(inv) >= max(_BATCH_MIN, img.width * img.height // _SCRATCH_DIVISOR):
@@ -303,28 +348,19 @@ def rasterize(drawing: Drawing) -> RasterImage:
     """Render a :class:`Drawing` into a raster image.
 
     Output is pixel-identical to dispatching every primitive one by one in
-    z-order; consecutive fill-only rects are merely painted through the
-    batched path above.
+    z-order; consecutive rects are merely painted through the batched path
+    above.
     """
     img = RasterImage(drawing.width, drawing.height, drawing.background)
     with _obs.span("render.rasterize", primitives=len(drawing)):
         batch: list[Rect] = []
         for item in drawing:
             if isinstance(item, Rect):
-                if item.stroke is None:
-                    if item.fill is not None:
-                        batch.append(item)
-                    continue
-                if batch:
-                    _fill_rects(img, batch)
-                    batch = []
-                if item.fill is not None:
-                    img.fill_rect(item.x, item.y, item.w, item.h, item.fill)
-                img.stroke_rect(item.x, item.y, item.w, item.h, item.stroke,
-                                item.stroke_width)
+                if item.fill is not None or item.stroke is not None:
+                    batch.append(item)
                 continue
             if batch:
-                _fill_rects(img, batch)
+                _paint_rects(img, batch)
                 batch = []
             if isinstance(item, Line):
                 img.draw_line(item.x0, item.y0, item.x1, item.y1, item.color,
@@ -335,5 +371,5 @@ def rasterize(drawing: Drawing) -> RasterImage:
             else:  # pragma: no cover - new primitive types must be handled here
                 raise TypeError(f"unknown primitive {type(item).__name__}")
         if batch:
-            _fill_rects(img, batch)
+            _paint_rects(img, batch)
     return img

@@ -191,3 +191,23 @@ class TestCsvErrorContext:
         with pytest.raises(ParseError, match=r"in s\.csv at line 3"):
             csv_fmt.loads(self.HEADER + "1,computation,0.0,1.0,0\n",
                           source="s.csv")
+
+    def test_equal_rows_share_one_configuration(self):
+        text = (self.HEADER
+                + "1,computation,0.0,1.0,0,0-3\n"
+                + "2,transfer,1.0,2.0,0,0-3\n"
+                + "3,computation,2.0,3.0,0,4-7\n")
+        s = csv_fmt.loads(text)
+        c1, c2, c3 = (s.task(t).configurations[0] for t in ("1", "2", "3"))
+        assert c1 is c2
+        assert c3 is not c1 and c3.host_ranges == (HostRange(4, 4),)
+
+    def test_bad_host_spec_on_later_row_reports_its_line(self):
+        text = (self.HEADER
+                + "1,computation,0.0,1.0,0,0-3\n"
+                + "2,computation,1.0,2.0,0,0-3\n"
+                + "3,computation,2.0,3.0,0,4-x\n"
+                + "4,computation,3.0,4.0,0,5\n")
+        with pytest.raises(ParseError, match="bad host spec '4-x'") as ei:
+            csv_fmt.loads(text)
+        assert ei.value.line == 5

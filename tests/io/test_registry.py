@@ -168,3 +168,15 @@ def test_crlf_input_loads_like_lf(tmp_path, simple_schedule):
         lf = to_dict(load_schedule(path))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert to_dict(load_schedule(path)) == lf, suffix
+
+
+def test_non_utf8_swf_input_is_a_parse_error(tmp_path):
+    path = tmp_path / "s.swf"
+    data = (b"; MaxProcs: 4\n"
+            b"1 0 0 10 2 -1 -1 2 20 -1 1 1 1 -1 1 -1 -1 -1\n")
+    offset = len(data) - 4
+    path.write_bytes(data[:offset] + b"\xfe" + data[offset:])
+    with pytest.raises(ParseError, match=f"byte offset {offset}") as err:
+        load_schedule(path)
+    assert err.value.source == str(path)
+    assert err.value.line == 2

@@ -166,3 +166,34 @@ def test_load_header_empty_file(tmp_path):
     path = tmp_path / "trace.swf"
     path.write_text("", encoding="utf-8")
     assert swf.load_header(path) == {}
+
+
+@pytest.mark.parametrize("read", [swf.load, lambda p: list(swf.iter_load(p))],
+                         ids=["load", "iter_load"])
+def test_non_utf8_data_line_is_a_parse_error(tmp_path, read):
+    path = tmp_path / "trace.swf"
+    lines = SAMPLE.encode("utf-8").splitlines(keepends=True)
+    # a multi-byte character before the bad byte: the offset counts bytes
+    lines[5] = b"2 100 0 60 4 -1 -1 4 120 -1 0 12 3 -1 1 -1 -1 -1 \xc3\xa9\xff\n"
+    path.write_bytes(b"".join(lines))
+    offset = len(b"".join(lines[:5])) + lines[5].index(b"\xff")
+    with pytest.raises(ParseError, match=f"0xff at byte offset {offset}") as ei:
+        read(path)
+    assert ei.value.source == str(path)
+    assert ei.value.line == 6
+
+
+def test_non_utf8_header_is_a_parse_error(tmp_path):
+    path = tmp_path / "trace.swf"
+    path.write_bytes(b"; Computer: Th\x80under\r\n" + SAMPLE.encode("utf-8"))
+    with pytest.raises(ParseError, match="0x80 at byte offset 14") as ei:
+        swf.load_header(path)
+    assert ei.value.line == 1
+
+
+def test_utf8_and_crlf_lines_still_load(tmp_path):
+    path = tmp_path / "trace.swf"
+    text = "; Computer: Thünder\r\n" + SAMPLE.replace("\n", "\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    assert swf.load_header(path)["Computer"] == "Thünder"
+    assert swf.load(path).jobs == swf.loads(SAMPLE).jobs

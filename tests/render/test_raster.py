@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.colormap import Color
 from repro.render import font5x7
@@ -291,6 +292,146 @@ class TestBatchedRasterize:
             d.add(Rect(2 * k + 0.5, 1.5, 1.5, 10.5, fill=RED))
         assert np.array_equal(rasterize(d).pixels,
                               reference_rasterize(d).pixels)
+
+
+    # ------------------------------------------------ stroked rect runs
+
+    @staticmethod
+    def _paths(monkeypatch):
+        """Record which batched paint path(s) a rasterize call takes."""
+        from repro.render import raster
+
+        taken = []
+        for name in ("_paint_scratch", "_paint_ordered"):
+            real = getattr(raster, name)
+
+            def spy(*args, _real=real, _name=name):
+                taken.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(raster, name, spy)
+        return taken
+
+    @staticmethod
+    def _assert_exact(d):
+        assert np.array_equal(rasterize(d).pixels,
+                              reference_rasterize(d).pixels)
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 0.7, 1.0, 1.4, 1.6, 2.0, 2.5])
+    def test_stroked_thin_widths(self, w):
+        # snapped widths 0, 1 and 2 px, on half-pixel and integer origins
+        d = Drawing(60, 40)
+        for i in range(12):
+            d.add(Rect(4 * i + 0.5 * (i % 2), 2 + 2.5 * (i % 5), w,
+                       1 + 0.9 * i, fill=RED, stroke=BLACK))
+        self._assert_exact(d)
+
+    @pytest.mark.parametrize("t", [2, 3, 2.5])
+    def test_stroke_width_thicker_than_one(self, t):
+        d = Drawing(80, 60)
+        for i in range(16):
+            d.add(Rect(5 * i - 3, 3 * i - 5, 0.5 * i, 20 - i, fill=RED,
+                       stroke=BLACK, stroke_width=t))
+            d.add(Rect(3 * i, 40 - 2 * i, 9, 0.4 * i, fill=self.GREEN,
+                       stroke=RED, stroke_width=t))
+        self._assert_exact(d)
+
+    def test_stroked_clipped_at_every_edge(self):
+        # one rect per (offset, extent) on each edge, none overlapping, so
+        # a pixel lost or gained at any clipped edge shows
+        d = Drawing(70, 50)
+        k = 0
+        for dx in (-0.7, -0.4, 0.0, 0.4):
+            for w in (0.2, 1.0, 1.3, 6.0):
+                d.add(Rect(dx, 6 + 2.5 * k, w, 2, fill=RED, stroke=BLACK))
+                d.add(Rect(70 - w + dx, 6 + 2.5 * k, w, 2, fill=RED,
+                           stroke=BLACK))
+                d.add(Rect(8 + 3.4 * k, dx, 2, w, fill=self.GREEN, stroke=BLACK))
+                d.add(Rect(8 + 3.4 * k, 50 - w + dx, 2, w, fill=self.GREEN,
+                           stroke=BLACK))
+                k += 1
+        d.add(Rect(-50, -50, 10, 10, fill=RED, stroke=BLACK))             # outside
+        self._assert_exact(d)
+        d.add(Rect(-5, -5, 80, 60, fill=None, stroke=RED, stroke_width=3))
+        self._assert_exact(d)
+
+    def test_unfilled_stroked_rects(self):
+        d = Drawing(60, 40)
+        for i in range(10):
+            d.add(Rect(10, 10, 30, 20, fill=RED))
+            d.add(Rect(2 + 3 * i, 1 + 2 * i, 8 - 0.7 * i, 0.9 * i, fill=None,
+                       stroke=(BLACK, self.GREEN)[i % 2]))
+        self._assert_exact(d)
+
+    def test_stroked_runs_flushed_by_lines_and_text(self):
+        d = Drawing(120, 80)
+        for k in range(3):
+            for i in range(10):
+                d.add(Rect(7 * i + k, 5 + 20 * k, 9, 12, fill=RED,
+                           stroke=BLACK if i % 3 else None))
+            d.add(Line(0, 10 + 20 * k, 119, 15 + 20 * k, self.GREEN, 2))
+            for i in range(9):
+                d.add(Rect(6 * i + 3, 8 + 20 * k, 0.4, 6,
+                           fill=self.GREEN if i % 2 else None, stroke=RED))
+            d.add(Text(60, 12 + 20 * k, "Ab", color=BLACK, size=7))
+        self._assert_exact(d)
+
+    def test_overlapping_stroked_ordered_path(self, monkeypatch):
+        taken = self._paths(monkeypatch)
+        d = Drawing(200, 120)
+        for i in range(40):
+            d.add(Rect(3 * i, 2 * i % 60, 30 - 0.6 * i, 25 - 0.5 * i,
+                       fill=(RED, BLACK, self.GREEN)[i % 3],
+                       stroke=(BLACK, RED)[i % 2], stroke_width=1 + i % 3))
+        self._assert_exact(d)
+        assert taken == ["_paint_ordered"]
+
+    def test_overlapping_stroked_scratch_path(self, monkeypatch):
+        taken = self._paths(monkeypatch)
+        d = Drawing(40, 40)
+        for i in range(60):
+            d.add(Rect((7 * i) % 30 - 2, (5 * i) % 30 - 1, 0.3 * (i % 9),
+                       0.5 * (i % 11), fill=(RED, None, self.GREEN)[i % 3],
+                       stroke=(BLACK, self.GREEN)[i % 2],
+                       stroke_width=1 + i % 2))
+        self._assert_exact(d)
+        assert taken == ["_paint_scratch"]
+
+
+_COLORS = (RED, BLACK, WHITE, Color(0, 160, 0), Color(255, 0, 0))
+
+
+@st.composite
+def _drawings(draw):
+    """Small canvases of mixed primitives, rect runs long and short."""
+    width, height = draw(st.integers(1, 70)), draw(st.integers(1, 50))
+    d = Drawing(width, height, draw(st.sampled_from(_COLORS)))
+    coord = st.floats(-12, 80, allow_nan=False).map(lambda v: round(v * 4) / 4)
+    extent = st.one_of(st.floats(0, 3, allow_nan=False),
+                       st.floats(0, 40, allow_nan=False))
+    color = st.sampled_from(_COLORS)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["rects", "rects", "line", "text"]))
+        if kind == "rects":
+            for _ in range(draw(st.integers(1, 30))):
+                d.add(Rect(draw(coord), draw(coord), draw(extent), draw(extent),
+                           fill=draw(st.none() | color),
+                           stroke=draw(st.none() | color),
+                           stroke_width=draw(st.sampled_from([0.3, 1, 1.5, 2, 3]))))
+        elif kind == "line":
+            d.add(Line(draw(coord), draw(coord), draw(coord), draw(coord),
+                       draw(color), draw(st.sampled_from([1, 2]))))
+        else:
+            d.add(Text(draw(coord), draw(coord), "x1", color=draw(color),
+                       size=draw(st.sampled_from([7, 14]))))
+    return d
+
+
+@given(_drawings())
+@settings(max_examples=80, deadline=None)
+def test_batched_rasterize_matches_reference_walk(drawing):
+    assert np.array_equal(rasterize(drawing).pixels,
+                          reference_rasterize(drawing).pixels)
 
 
 class TestRasterize:
