@@ -22,18 +22,23 @@ Three invariants are asserted on every run:
   keep round-tripping through our own decoder, at every scale;
 * batched rasterization is pixel-identical to the naive per-primitive
   z-order walk, on the 1k fill-only field and on the 100k stroked
-  layout.
+  layout;
+* on that stroked layout the batched path is at least
+  ``STROKED_MIN_SPEEDUP`` times faster than the naive walk timed in the
+  same run (~6x on a 2-core x86 host).  Both sides run on the same
+  machine, so the bound holds on slow and fast hosts alike.
 
 The committed baseline was measured *after* the vectorization PR; the
-pre-change numbers for the 100k drawing (same machine, same drawing) were
-rasterize 0.77 s + encode 0.17 s = 0.94 s, a >= 3x margin over the current
-path.  The in-test assertion keeps 2.5x of slack against that recorded
-wall to absorb runner variance; day-to-day drift is caught by the
+pre-change numbers for the 100k drawing were rasterize 0.77 s + encode
+0.17 s = 0.94 s on the machine that recorded them.  Absolute times are
+host-dependent, so they are only reported; drift is caught by the
 regression gate comparing min-of-k timings against the committed
-baseline instead.
+baseline.
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 import numpy as np
 from conftest import persist, report
@@ -55,6 +60,9 @@ SIZES = (1_000, 10_000, 100_000)
 #: vectorization landed.  Kept as a reference metricless constant — the
 #: live regression gate compares against benchmarks/baselines/.
 PRE_CHANGE_RE_S = {1_000: 0.224, 10_000: 0.254, 100_000: 0.937}
+
+#: batched rasterize of the 100k stroked layout vs. the naive walk
+STROKED_MIN_SPEEDUP = 3.0
 
 
 def rect_field(n: int, width: int = WIDTH, height: int = HEIGHT,
@@ -131,13 +139,19 @@ def test_raster_pipeline(benchmark):
 
     # The pipeline's own drawing: every task rect stroked.
     stroked = stroked_layout(SIZES[-1])
-    assert np.array_equal(rasterize(stroked).pixels,
-                          reference_rasterize(stroked).pixels)
+    t0 = perf_counter()
+    naive = reference_rasterize(stroked).pixels
+    t_naive = perf_counter() - t0
+    assert np.array_equal(rasterize(stroked).pixels, naive)
     stroked_runs = time_min_of_k(lambda: rasterize(stroked))
     ratio = min(stroked_runs) / min(stage_runs[SIZES[-1]]["rasterize"])
+    speedup = t_naive / min(stroked_runs)
     rows.append((f"{SIZES[-1]} stroked layout rasterize (900x480)",
                  "<= 2x fill-only",
                  f"{min(stroked_runs) * 1e3:.0f} ms ({ratio:.2f}x fill-only)"))
+    rows.append((f"{SIZES[-1]} stroked layout vs. naive walk",
+                 f">= {STROKED_MIN_SPEEDUP:g}x",
+                 f"{t_naive * 1e3:.0f} ms naive ({speedup:.1f}x)"))
 
     report("Raster/PNG hot path (2000x1200)", rows)
     persist("raster", f"stroked_layout_{SIZES[-1]}",
@@ -155,12 +169,9 @@ def test_raster_pipeline(benchmark):
             metrics={"painted_px_100k": WIDTH * HEIGHT - background,
                      "canvas_px": WIDTH * HEIGHT})
 
-    # The headline claim of the vectorization PR, with slack for CI noise:
-    # >= 3x was measured against the pre-change wall on the dev machine.
-    t_100k = (min(stage_runs[SIZES[-1]]["rasterize"])
-              + min(stage_runs[SIZES[-1]]["encode"]))
-    assert t_100k < PRE_CHANGE_RE_S[SIZES[-1]] / 2.5, \
-        f"100k-rect rasterize+encode took {t_100k:.3f}s"
+    # Speed, relative to this run's own naive walk so host speed cancels.
+    assert speedup >= STROKED_MIN_SPEEDUP, \
+        f"batched stroked rasterize only {speedup:.1f}x the naive walk"
 
     result = benchmark.pedantic(
         lambda: encode_png(rasterize(drawings[SIZES[-1]]).pixels),

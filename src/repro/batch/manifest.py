@@ -29,8 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ParseError
-from repro.render.api import OUTPUT_FORMATS, RenderRequest, format_from_suffix
+from repro.errors import ParseError, RenderError
+from repro.render.api import RenderRequest, format_from_suffix
 
 __all__ = ["BatchManifest", "load_manifest", "manifest_requests"]
 
@@ -94,6 +94,14 @@ def _resolve(base: Path, value: str) -> str:
     return str(path if path.is_absolute() else base / path)
 
 
+def _request(where: str, source: str, **fields) -> RenderRequest:
+    """Build one request; a rejected field becomes a located ParseError."""
+    try:
+        return RenderRequest(**fields)
+    except (TypeError, ValueError, RenderError) as exc:
+        raise ParseError(f"{where}: {exc}", source=source) from exc
+
+
 def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
                       source: str = "<manifest>") -> list[RenderRequest]:
     """Expand a manifest document into concrete render requests."""
@@ -137,12 +145,8 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
                                  source=source)
             for fmt in formats:
                 fmt = str(fmt).lower()
-                if fmt not in OUTPUT_FORMATS:
-                    raise ParseError(
-                        f"{where}: unknown output format {fmt!r} (supported: "
-                        f"{', '.join(sorted(OUTPUT_FORMATS))})", source=source)
-                requests.append(RenderRequest(
-                    input_path=input_path,
+                requests.append(_request(
+                    where, source, input_path=input_path,
                     output_path=str(out_dir / f"{stem}.{fmt}"),
                     **{**options, "output_format": fmt}))
             continue
@@ -154,11 +158,8 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
             fmt = options.get("output_format") \
                 or format_from_suffix(input_path, default="svg")
             output_path = str(out_dir / f"{stem}.{fmt}")
-        try:
-            requests.append(RenderRequest(input_path=input_path,
-                                          output_path=output_path, **options))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {exc}", source=source) from exc
+        requests.append(_request(where, source, input_path=input_path,
+                                 output_path=output_path, **options))
     return requests
 
 

@@ -36,7 +36,12 @@ from repro.core.validate import validate_schedule
 from repro.errors import ReproError
 from repro.io import load_schedule, save_schedule
 from repro.io.registry import available_formats
-from repro.render.api import OUTPUT_FORMATS, RenderRequest, execute_request
+from repro.render.api import (
+    OUTPUT_FORMATS,
+    REQUEST_FORMATS,
+    RenderRequest,
+    execute_request,
+)
 from repro.render.lod import LOD_MODES
 
 __all__ = ["main", "build_parser"]
@@ -63,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("-o", "--output", help="output image file (single input)")
     out.add_argument("--outdir", help="output directory for batch rendering "
                                       "(one image per input; needs --format)")
-    render.add_argument("--format", choices=sorted(OUTPUT_FORMATS),
+    render.add_argument("--format", choices=REQUEST_FORMATS,
                         help="output format (default: by suffix)")
     render.add_argument("--with-profile", action="store_true",
                         help="stack the utilization profile under the chart")
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output image file (single input)")
     submit.add_argument("--outdir", help="output directory (several inputs; "
                                          "needs --format)")
-    submit.add_argument("--format", choices=sorted(OUTPUT_FORMATS),
+    submit.add_argument("--format", choices=REQUEST_FORMATS,
                         help="output format (default: by suffix)")
     submit.add_argument("--width", type=int, default=900)
     submit.add_argument("--height", type=int, default=480)

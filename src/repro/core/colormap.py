@@ -168,6 +168,9 @@ class ColorMap:
         self._composites: list[CompositeRule] = list(composites)
         self.config: dict[str, str] = dict(config or {})
         self.fallback = fallback or TaskStyle(Color.from_hex("B0B0B0"))
+        # one object for every unmatched composite: renderers memoize
+        # paint by style identity
+        self._composite_fallback = TaskStyle(self.fallback.bg.darkened(0.35))
         self._auto_cache: dict[str, TaskStyle] = {}
         self._meta_keys = {n.split(":", 1)[0] for n in self._styles if ":" in n}
 
@@ -244,7 +247,7 @@ class ColorMap:
                     return style
             if COMPOSITE_TYPE in self._styles:
                 return self._styles[COMPOSITE_TYPE]
-            return TaskStyle(self.fallback.bg.darkened(0.35))
+            return self._composite_fallback
         return self.style_for_type(task.type)
 
     # ------------------------------------------------------------ transforms

@@ -122,8 +122,8 @@ def loads(text: str, *, source: str = "<string>") -> Schedule:
     # csv.DictReader's row mapping, by column index: the first row names
     # the columns (the last of a repeated name wins), empty rows are
     # skipped, and a row is short or long against the header's width.
-    reader = csv.reader(data_lines)
-    fieldnames = next(reader)
+    rows = _csv_rows(data_lines, line_nos, source)
+    fieldnames = next(rows)
     missing = set(_COLUMNS) - set(fieldnames)
     if missing:
         raise ParseError(f"missing CSV columns: {sorted(missing)}",
@@ -136,7 +136,7 @@ def loads(text: str, *, source: str = "<string>") -> Schedule:
     # Each row keeps its original line number for error context.
     rows_by_task: dict[str, list[tuple[list[str], int]]] = {}
     n_rows = 0
-    for i, row in enumerate(r for r in reader if r):
+    for i, row in enumerate(rows):
         lineno = line_nos[i + 1] if i + 1 < len(line_nos) else line_nos[-1]
         if len(row) != width:
             raise ParseError(
@@ -188,6 +188,19 @@ def loads(text: str, *, source: str = "<string>") -> Schedule:
             raise ParseError(f"task {tid!r}: {exc}",
                              source=source, line=first_line) from None
     return schedule
+
+
+def _csv_rows(lines: list[str], line_nos: list[int], source: str):
+    """The non-empty rows of ``lines``; a ``csv.Error`` (e.g. a field over
+    ``csv.field_size_limit()``) becomes a ParseError at its line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row:
+                yield row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV row: {exc}", source=source,
+                         line=line_nos[reader.line_num - 1]) from None
 
 
 def dump(schedule: Schedule, path: str | Path) -> None:

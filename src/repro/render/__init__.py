@@ -2,6 +2,7 @@
 
 from repro.render.api import (
     OUTPUT_FORMATS,
+    REQUEST_FORMATS,
     RenderRequest,
     RenderResult,
     execute_request,
@@ -27,6 +28,7 @@ __all__ = [
     "Line",
     "LodOptions",
     "OUTPUT_FORMATS",
+    "REQUEST_FORMATS",
     "Rect",
     "RenderRequest",
     "RenderResult",

@@ -29,7 +29,6 @@ from repro.obs import core as _obs
 from repro.render.backends import (
     render_bmp,
     render_eps,
-    render_html,
     render_pdf,
     render_png,
     render_ppm,
@@ -53,6 +52,7 @@ __all__ = [
     "export_schedule",
     "render_drawing",
     "OUTPUT_FORMATS",
+    "REQUEST_FORMATS",
     "format_from_suffix",
 ]
 
@@ -64,8 +64,11 @@ OUTPUT_FORMATS: dict[str, Callable[[Drawing], bytes]] = {
     "bmp": render_bmp,
     "pdf": render_pdf,
     "eps": render_eps,
-    "html": render_html,
 }
+
+#: every format a :class:`RenderRequest` can produce: the drawing encoders
+#: plus ``html``, which embeds the schedule itself rather than a drawing
+REQUEST_FORMATS: tuple[str, ...] = tuple(sorted([*OUTPUT_FORMATS, "html"]))
 
 DEFAULT_OUTPUT_FORMAT = "svg"
 
@@ -78,12 +81,12 @@ def format_from_suffix(path: str | Path, default: str | None = None) -> str:
     manifest-wide default format).
     """
     suffix = Path(path).suffix.lower().lstrip(".")
-    if suffix not in OUTPUT_FORMATS:
+    if suffix not in REQUEST_FORMATS:
         if default is not None:
             return default
         raise RenderError(
             f"cannot infer output format from suffix {suffix!r}; "
-            f"supported: {', '.join(sorted(OUTPUT_FORMATS))}")
+            f"supported: {', '.join(REQUEST_FORMATS)}")
     return suffix
 
 
@@ -92,6 +95,10 @@ def render_drawing(drawing: Drawing, format: str) -> bytes:
     try:
         backend = OUTPUT_FORMATS[format.lower()]
     except KeyError:
+        if format.lower() == "html":
+            raise RenderError(
+                "HTML output embeds a schedule, not a drawing; "
+                "write a drawing as .svg") from None
         raise RenderError(
             f"unknown output format {format!r}; "
             f"supported: {', '.join(sorted(OUTPUT_FORMATS))}") from None
@@ -187,10 +194,14 @@ class RenderRequest:
             object.__setattr__(self, "mode", mode.value)
         else:
             object.__setattr__(self, "mode", ViewMode.parse(str(mode)).value)
-        if isinstance(self.lod, str) and self.lod not in LOD_MODES:
+        if isinstance(self.lod, str):
+            if self.lod not in LOD_MODES:
+                raise RenderError(
+                    f"unknown lod mode {self.lod!r} (expected one of: "
+                    f"{', '.join(LOD_MODES)})")
+        elif not isinstance(self.lod, LodOptions):
             raise RenderError(
-                f"unknown lod mode {self.lod!r} (expected one of: "
-                f"{', '.join(LOD_MODES)})")
+                f"lod must be a mode name or LodOptions, got {self.lod!r}")
         object.__setattr__(self, "types", _as_str_tuple(self.types))
         object.__setattr__(self, "clusters", _as_str_tuple(self.clusters))
         if self.window is not None:
@@ -201,11 +212,14 @@ class RenderRequest:
                     f"window bounds must be finite, got ({t0!r}, {t1!r})")
             object.__setattr__(self, "window", (t0, t1))
         if self.output_format is not None:
+            if not isinstance(self.output_format, str):
+                raise RenderError(f"output_format must be a string, "
+                                  f"got {self.output_format!r}")
             fmt = self.output_format.lower()
-            if fmt not in OUTPUT_FORMATS:
+            if fmt not in REQUEST_FORMATS:
                 raise RenderError(
                     f"unknown output format {fmt!r}; "
-                    f"supported: {', '.join(sorted(OUTPUT_FORMATS))}")
+                    f"supported: {', '.join(REQUEST_FORMATS)}")
             object.__setattr__(self, "output_format", fmt)
 
     # ------------------------------------------------------------ resolution

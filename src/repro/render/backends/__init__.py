@@ -3,7 +3,6 @@
 from repro.render.backends.ascii_art import render_ascii
 from repro.render.backends.bmp import render_bmp
 from repro.render.backends.eps import render_eps
-from repro.render.backends.html import render_html
 from repro.render.backends.pdf import render_pdf
 from repro.render.backends.png import render_png
 from repro.render.backends.ppm import render_ppm
@@ -13,7 +12,6 @@ __all__ = [
     "render_ascii",
     "render_bmp",
     "render_eps",
-    "render_html",
     "render_pdf",
     "render_png",
     "render_ppm",

@@ -20,24 +20,15 @@ instead of raw rectangles and the viewer swaps between tiers (and, when
 present, raw tasks) as the zoom changes — a 100k-job trace stays a small
 page and responsive to interact with.  Everything is inline: no external
 assets, openable from disk.
-
-:func:`render_html` remains the drawing-level fallback used by
-``render_drawing(d, "html")`` callers that only have geometry (e.g. the
-report dashboard): it wraps the SVG output with hover/zoom handlers.  Its
-wheel zoom computes the cursor anchor through the effective uniform scale
-of ``preserveAspectRatio="xMidYMid meet"`` — naive
-``getBoundingClientRect()`` proportions drift as soon as zooming changes
-the viewBox aspect ratio and the letterbox appears.
 """
 
 from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from repro.render.geometry import Drawing
 from repro.render.html_payload import payload_json, validate_payload
 
-__all__ = ["render_html", "render_html_interactive", "embed_json_text"]
+__all__ = ["render_html_interactive", "embed_json_text"]
 
 
 def embed_json_text(text: str) -> str:
@@ -51,102 +42,6 @@ def embed_json_text(text: str) -> str:
                 .replace(" ", "\\u2028")
                 .replace(" ", "\\u2029"))
 
-
-# --------------------------------------------------------------------------
-# legacy drawing-level wrapper (SVG + hover/zoom), kept for callers that
-# only have a Drawing
-# --------------------------------------------------------------------------
-
-_SVG_TEMPLATE = """<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>__TITLE__</title>
-<style>
-  body { font-family: Helvetica, Arial, sans-serif; margin: 16px; }
-  #tip { position: fixed; display: none; background: #222; color: #fff;
-         padding: 3px 8px; border-radius: 4px; font-size: 12px;
-         pointer-events: none; z-index: 10; }
-  svg { border: 1px solid #ccc; cursor: crosshair; }
-  rect[data-ref]:hover { stroke-width: 2.5; }
-  p.hint { color: #666; font-size: 12px; }
-</style>
-</head>
-<body>
-<div id="tip"></div>
-__SVG__
-<p class="hint">hover a task for its id &middot; mouse wheel zooms &middot;
-double-click resets</p>
-<script>
-(function () {
-  var svg = document.querySelector("svg");
-  var tip = document.getElementById("tip");
-  var home = svg.getAttribute("viewBox");
-
-  svg.addEventListener("mousemove", function (ev) {
-    var t = ev.target;
-    var ref = t.getAttribute && t.getAttribute("data-ref");
-    if (ref) {
-      tip.textContent = ref.replace(/^task:/, "task ");
-      tip.style.display = "block";
-      tip.style.left = (ev.clientX + 12) + "px";
-      tip.style.top = (ev.clientY + 12) + "px";
-    } else {
-      tip.style.display = "none";
-    }
-  });
-  svg.addEventListener("mouseleave", function () {
-    tip.style.display = "none";
-  });
-  svg.addEventListener("wheel", function (ev) {
-    ev.preventDefault();
-    var vb = svg.getAttribute("viewBox").split(" ").map(Number);
-    var f = ev.deltaY < 0 ? 1 / 1.25 : 1.25;
-    var r = svg.getBoundingClientRect();
-    // preserveAspectRatio="xMidYMid meet": the viewBox maps through one
-    // uniform scale s, centered with letterbox offsets ox/oy.  Dividing
-    // by r.width/r.height instead drifts once zooming changes the
-    // viewBox aspect ratio.
-    var s = Math.min(r.width / vb[2], r.height / vb[3]);
-    var ox = (r.width - s * vb[2]) / 2;
-    var oy = (r.height - s * vb[3]) / 2;
-    var cx = vb[0] + (ev.clientX - r.left - ox) / s;
-    var cy = vb[1] + (ev.clientY - r.top - oy) / s;
-    var w = vb[2] * f, h = vb[3] * f;
-    svg.setAttribute("viewBox",
-      (cx - (cx - vb[0]) * f) + " " + (cy - (cy - vb[1]) * f) + " " + w + " " + h);
-  }, { passive: false });
-  svg.addEventListener("dblclick", function () {
-    svg.setAttribute("viewBox", home);
-  });
-})();
-</script>
-</body>
-</html>
-"""
-
-
-def render_html(drawing: Drawing, *, title: str = "jedule schedule") -> bytes:
-    """Serialize a drawing as a standalone HTML page (SVG wrapper).
-
-    ``title`` is user-controlled text (a schedule name such as ``a<b & c``)
-    and is escaped before interpolation — the rest of the page body is the
-    SVG backend's output, which already escapes all text and attributes.
-    """
-    from repro.render.backends.svg import render_svg
-
-    svg = render_svg(drawing).decode("utf-8")
-    # drop the XML prolog: inline SVG in HTML5 must not carry it
-    body = svg.split("?>", 1)[1].lstrip() if svg.startswith("<?xml") else svg
-    page = (_SVG_TEMPLATE
-            .replace("__TITLE__", escape(title))
-            .replace("__SVG__", body))
-    return page.encode("utf-8")
-
-
-# --------------------------------------------------------------------------
-# data-driven interactive viewer
-# --------------------------------------------------------------------------
 
 _VIEWER_TEMPLATE = """<!DOCTYPE html>
 <html lang="en">

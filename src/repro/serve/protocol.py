@@ -19,7 +19,7 @@ import math
 
 from repro.core.model import Schedule
 from repro.errors import ParseError, RenderError, ServeError
-from repro.render.api import OUTPUT_FORMATS, RenderRequest, RenderResult
+from repro.render.api import REQUEST_FORMATS, RenderRequest, RenderResult
 from repro.render.lod import LOD_MODES
 
 __all__ = [
@@ -148,10 +148,10 @@ def request_from_payload(doc: object) -> RenderRequest:
             if not isinstance(value, str):
                 raise _bad(f"{field} must be a string, got {value!r}",
                            code="invalid-type", field=field)
-            if field == "output_format" and value.lower() not in OUTPUT_FORMATS:
+            if field == "output_format" and value.lower() not in REQUEST_FORMATS:
                 raise _bad(
                     f"unknown output format {value!r}; supported: "
-                    f"{', '.join(sorted(OUTPUT_FORMATS))}",
+                    f"{', '.join(REQUEST_FORMATS)}",
                     code="unknown-format", field=field)
             if field == "lod" and value not in LOD_MODES:
                 raise _bad(f"unknown lod mode {value!r} (expected one of: "

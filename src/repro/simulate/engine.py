@@ -5,8 +5,11 @@ relative times, run until the calendar drains (or a horizon).  Events at
 equal times fire in scheduling order (a monotone sequence number breaks
 ties), which keeps every simulation in this package deterministic.
 
-Used by the task-pool runtime (:mod:`repro.taskpool`) and the cluster job
-scheduler (:mod:`repro.workloads.scheduler`); the DAG executor
+It is the one event loop of every simulator here: the task-pool runtime
+(:mod:`repro.taskpool`), the FCFS/EASY cluster job scheduler
+(:mod:`repro.workloads.scheduler`), the preemptive multi-CPU simulator
+(:mod:`repro.simulate.preempt`) and the online list and moldable
+schedulers (:mod:`repro.sched.online`).  The DAG executor
 (:mod:`repro.simulate.executor`) replays list schedules directly and only
 needs the time bookkeeping.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.obs import core as _obs
@@ -24,13 +27,12 @@ from repro.obs import core as _obs
 __all__ = ["SimEngine", "EventHandle"]
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _Event:
     time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    fired: bool = False
 
 
 class EventHandle:
@@ -63,7 +65,9 @@ class SimEngine:
     def __init__(self):
         self._now = 0.0
         self._seq = 0
-        self._queue: list[_Event] = []
+        # (time, seq, event): tuples compare in C, and the unique seq
+        # keeps the event itself out of every comparison
+        self._queue: list[tuple[float, int, _Event]] = []
         self._processed = 0
         self._pending = 0
         self._peak_pending = 0
@@ -99,9 +103,9 @@ class SimEngine:
         if time < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule at {time}: the clock is already at {self._now}")
-        event = _Event(max(time, self._now), self._seq, callback)
+        event = _Event(max(time, self._now), callback)
+        heapq.heappush(self._queue, (event.time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         self._pending += 1
         if self._pending > self._peak_pending:
             self._peak_pending = self._pending
@@ -116,7 +120,7 @@ class SimEngine:
     def step(self) -> bool:
         """Fire the next event; False when the calendar is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue  # already uncounted at cancel time
             event.fired = True
@@ -136,7 +140,7 @@ class SimEngine:
         """
         fired = 0
         while self._queue:
-            nxt = self._queue[0]
+            nxt = self._queue[0][2]
             if nxt.cancelled:
                 heapq.heappop(self._queue)
                 continue

@@ -22,12 +22,12 @@ Figure 13 as the empty band at the bottom).
 from __future__ import annotations
 
 import enum
-import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.obs import core as _obs
+from repro.simulate.engine import SimEngine
 from repro.workloads.jobs import Job
 
 __all__ = ["SchedPolicy", "ScheduledJob", "ClusterJobScheduler", "simulate_jobs"]
@@ -83,7 +83,14 @@ class ClusterJobScheduler:
         return tuple(chosen)
 
     def run(self, jobs: Iterable[Job]) -> list[ScheduledJob]:
-        """Simulate the full workload; returns placements in start order."""
+        """Simulate the full workload; returns placements in start order.
+
+        Arrivals and completions are :class:`SimEngine` events; the first
+        of them at an instant schedules one policy decision at that
+        instant, which runs after every other arrival and completion
+        already due then.  A zero-runtime job started by the decision
+        completes at the same instant and triggers a second decision.
+        """
         pending = sorted(jobs, key=lambda j: (j.submit_time, j.id))
         capacity = len(self.usable)
         for j in pending:
@@ -91,27 +98,42 @@ class ClusterJobScheduler:
                 raise WorkloadError(
                     f"job {j.id} wants {j.nodes} nodes but only {capacity} are usable")
 
+        engine = SimEngine()
         free: set[int] = set(self.usable)
         queue: list[Job] = []
-        running: list[tuple[float, int, ScheduledJob]] = []  # (end, id, record)
+        # id(record) -> (end, job id, record): EASY scans it in end order
+        running: dict[int, tuple[float, int, ScheduledJob]] = {}
         out: list[ScheduledJob] = []
-        i = 0  # next arrival
-        now = 0.0
+        decision_due = False
 
-        def release_until(t: float) -> None:
-            while running and running[0][0] <= t:
-                _, _, record = heapq.heappop(running)
-                free.update(record.nodes)
+        def wake() -> None:
+            nonlocal decision_due
+            if not decision_due:
+                decision_due = True
+                engine.at(engine.now, decide)
+
+        def arrive(job: Job) -> None:
+            queue.append(job)
+            wake()
+
+        def complete(record: ScheduledJob) -> None:
+            del running[id(record)]
+            free.update(record.nodes)
+            wake()
 
         def start(job: Job, t: float) -> None:
             nodes = self._pick_nodes(free, job.nodes)
             free.difference_update(nodes)
             record = ScheduledJob(job, t, nodes)
-            heapq.heappush(running, (record.end_time, job.id, record))
+            running[id(record)] = (record.end_time, job.id, record)
             out.append(record)
+            engine.at(record.end_time, lambda: complete(record))
 
-        def try_schedule(t: float) -> None:
-            """Start whatever the policy allows at instant ``t``."""
+        def decide() -> None:
+            """Start whatever the policy allows now."""
+            nonlocal decision_due
+            decision_due = False
+            t = engine.now
             while queue and queue[0].nodes <= len(free):
                 start(queue.pop(0), t)
             if self.policy is SchedPolicy.EASY and queue:
@@ -122,7 +144,7 @@ class ClusterJobScheduler:
                 future_free = len(free)
                 shadow_time = t
                 extra = 0
-                for end, _, record in sorted(running):
+                for end, _, record in sorted(running.values()):
                     future_free += len(record.nodes)
                     if future_free >= head.nodes:
                         shadow_time = end
@@ -147,21 +169,9 @@ class ClusterJobScheduler:
                     else:
                         k += 1
 
-        while i < len(pending) or queue or running:
-            # next decision instant: min(arrival, completion)
-            candidates = []
-            if i < len(pending):
-                candidates.append(pending[i].submit_time)
-            if running:
-                candidates.append(running[0][0])
-            if not candidates:
-                break
-            now = min(candidates)
-            release_until(now)
-            while i < len(pending) and pending[i].submit_time <= now:
-                queue.append(pending[i])
-                i += 1
-            try_schedule(now)
+        for job in pending:
+            engine.at(job.submit_time, lambda job=job: arrive(job))
+        engine.run()
         return out
 
 

@@ -79,6 +79,21 @@ def test_unknown_format_in_formats(tmp_path):
         manifest_requests(doc, base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"input": "a.jed", "width": 0}, "width must be >= 1, got 0"),
+    ({"input": "a.jed", "lod": "bogus"}, "unknown lod mode 'bogus'"),
+    ({"input": "a.jed", "formats": ["png"], "width": -3},
+     "width must be >= 1, got -3"),
+])
+def test_rejected_request_field_names_job_and_source(tmp_path, entry,
+                                                     message):
+    doc = {"jobs": [{"input": "ok.jed"}, entry]}
+    with pytest.raises(ParseError, match=message) as ei:
+        manifest_requests(doc, base_dir=tmp_path, source="figs.json")
+    assert str(ei.value).startswith("jobs[1]: ")
+    assert ei.value.source == "figs.json"
+
+
 def test_load_manifest_resolves_cache_dir(tmp_path):
     path = _write(tmp_path, {"name": "figs", "cache_dir": ".cache",
                              "jobs": [{"input": "a.jed", "format": "png"}]})

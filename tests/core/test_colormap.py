@@ -114,6 +114,16 @@ class TestColorMap:
         style = cmap.style_for_task(task)
         assert style.bg != cmap.fallback.bg
 
+    def test_composite_fallback_style_is_one_object(self):
+        """Renderers memoize paint by style identity, so every unmatched
+        composite must resolve to the same style object."""
+        cmap = ColorMap("bare")
+        a = Task("a+b", "composite", 0, 1, [Configuration(0, [(0, 1)])],
+                 {"member_types": "x,y"})
+        b = Task("c+d", "composite", 1, 2, [Configuration(0, [(0, 1)])],
+                 {"member_types": "u,v"})
+        assert cmap.style_for_task(a) is cmap.style_for_task(b)
+
     def test_grayscale_conversion(self):
         gray = grayscale_colormap()
         for task_type in gray.task_types:

@@ -211,3 +211,15 @@ class TestCsvErrorContext:
         with pytest.raises(ParseError, match="bad host spec '4-x'") as ei:
             csv_fmt.loads(text)
         assert ei.value.line == 5
+
+    def test_field_over_the_csv_limit_is_parse_error(self, tmp_path):
+        from repro.io.registry import load_schedule
+
+        path = tmp_path / "huge.csv"
+        path.write_text(self.HEADER
+                        + "1," + "x" * 200_000 + ",0.0,1.0,0,0-7\n")
+        with pytest.raises(ParseError, match="field larger than field limit") \
+                as ei:
+            load_schedule(path)
+        assert ei.value.line == 3
+        assert ei.value.source == str(path)

@@ -68,13 +68,19 @@ class TestBuildReport:
 
 
 class TestExportReport:
-    @pytest.mark.parametrize("fmt", ["svg", "html", "png"])
+    @pytest.mark.parametrize("fmt", ["svg", "png"])
     def test_renders_through_existing_backends(self, tmp_path, fmt):
         out = export_report(records(), tmp_path / f"dash.{fmt}")
         data = out.read_bytes()
         assert len(data) > 100
         if fmt == "svg":
             assert b"<svg" in data and b"makespan" in data
+
+    def test_html_is_refused(self, tmp_path):
+        # a dashboard is a drawing; html output embeds a schedule
+        with pytest.raises(RenderError, match="write a drawing as .svg"):
+            export_report(records(), tmp_path / "dash.html")
+        assert not (tmp_path / "dash.html").exists()
 
 
 class TestReportFromRunlog:

@@ -40,6 +40,14 @@ def test_request_normalizes_and_validates():
         RenderRequest(output_path="schedule.dat").resolved_output_format()
 
 
+def test_non_string_lod_and_format_rejected():
+    # rejected up front, not as a crash in fingerprint() or .lower()
+    with pytest.raises(RenderError, match="lod must be a mode name"):
+        RenderRequest(lod=5)
+    with pytest.raises(RenderError, match="output_format must be a string"):
+        RenderRequest(output_format=5)
+
+
 def test_dimension_validation():
     assert RenderRequest(width=640.0).width == 640  # whole floats normalize
     for bad in [0, -1, float("nan"), float("inf"), 12.5, "640", True, None]:

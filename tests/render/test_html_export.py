@@ -331,66 +331,6 @@ class TestJsParity:
         assert draw_mode(65, True, True, 64) == "lod"        # just past it
 
 
-# --------------------------------------------------------------------------
-# Legacy SVG-wrapper zoom: letterbox (preserveAspectRatio) regression
-# --------------------------------------------------------------------------
-
-def _meet_transform(vb, rect_w, rect_h):
-    """screen position of a viewBox point under xMidYMid meet."""
-    s = min(rect_w / vb[2], rect_h / vb[3])
-    ox = (rect_w - s * vb[2]) / 2
-    oy = (rect_h - s * vb[3]) / 2
-    return s, ox, oy
-
-
-def _anchor_fixed(vb, rect_w, rect_h, px, py):
-    # transcription of the fixed template math
-    s = min(rect_w / vb[2], rect_h / vb[3])
-    ox = (rect_w - s * vb[2]) / 2
-    oy = (rect_h - s * vb[3]) / 2
-    return (vb[0] + (px - ox) / s, vb[1] + (py - oy) / s)
-
-
-def _anchor_old(vb, rect_w, rect_h, px, py):
-    # the buggy pre-fix math: plain bounding-rect proportions
-    return (vb[0] + px / rect_w * vb[2], vb[1] + py / rect_h * vb[3])
-
-
-class TestLegacyLetterboxZoom:
-    def test_fixed_anchor_inverts_meet_transform(self):
-        # after zooming, the viewBox aspect no longer matches the 900x480
-        # element: xMidYMid meet letterboxes vertically (oy = 140 here)
-        vb = [10.0, 5.0, 900.0, 200.0]
-        s, ox, oy = _meet_transform(vb, 900.0, 480.0)
-        for point in [(10.0, 5.0), (460.0, 105.0), (909.0, 204.0)]:
-            px = ox + s * (point[0] - vb[0])
-            py = oy + s * (point[1] - vb[1])
-            assert _anchor_fixed(vb, 900.0, 480.0, px, py) == \
-                pytest.approx(point)
-
-    def test_old_math_drifts_on_nonsquare_window(self):
-        vb = [0.0, 0.0, 900.0, 200.0]
-        s, ox, oy = _meet_transform(vb, 900.0, 480.0)
-        px, py = ox + s * 300.0, oy + s * 50.0
-        old = _anchor_old(vb, 900.0, 480.0, px, py)
-        # the buggy formula misplaces the anchor by ~58 viewBox units in y
-        assert abs(old[1] - 50.0) > 25.0
-        fixed = _anchor_fixed(vb, 900.0, 480.0, px, py)
-        assert fixed == pytest.approx((300.0, 50.0))
-
-    def test_template_ships_fixed_formula(self, simple_schedule):
-        from repro.render.api import render_drawing
-        from repro.render.layout import layout_schedule
-
-        page = render_drawing(layout_schedule(simple_schedule),
-                              "html").decode("utf-8")
-        assert "Math.min(r.width / vb[2], r.height / vb[3])" in page
-        assert "(ev.clientX - r.left - ox) / s" in page
-        assert "(ev.clientY - r.top - oy) / s" in page
-        # the drifting proportional form is gone
-        assert "/ r.width * vb[2]" not in page
-
-
 class TestViewerScriptInNode:
     """Execute the embedded viewer JS for real (node + DOM stubs).
 

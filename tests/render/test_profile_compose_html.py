@@ -7,9 +7,7 @@ import pytest
 
 from repro.core.model import Schedule
 from repro.errors import RenderError
-from repro.render.backends.html import render_html
 from repro.render.compose import compare_schedules, stack_drawings
-from repro.render.geometry import Drawing, Rect, Text
 from repro.render.layout import layout_schedule
 from repro.render.profile import export_profile, layout_profile
 from repro.render.api import RenderRequest, render_drawing, render_request_bytes
@@ -124,27 +122,10 @@ class TestHtml:
         assert "<canvas" in html
         assert "vpZoom" in html  # embedded viewport algebra
 
-    def test_legacy_drawing_wrapper_structure(self, simple_schedule):
-        # drawing-level callers (render_drawing) still get the SVG wrapper
-        html = render_drawing(layout_schedule(simple_schedule), "html").decode()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "</svg>" in html
-        assert "data-ref" in html
-        assert "<?xml" not in html  # prolog stripped for inline svg
-
-    def test_custom_title_escaped(self):
-        d = Drawing(100, 60)
-        d.add(Rect(5, 5, 20, 20, fill=None, stroke=None))
-        html = render_html(d, title="My & Schedule").decode()
-        assert "<title>My &amp; Schedule</title>" in html
-
-    def test_title_cannot_inject_markup(self):
-        d = Drawing(100, 60)
-        d.add(Rect(5, 5, 20, 20, fill=None, stroke=None))
-        title = 'a<b & c</title><script>alert(1)</script>'
-        html = render_html(d, title=title).decode()
-        assert "</title><script>alert(1)</script>" not in html
-        assert "a&lt;b &amp; c" in html
+    def test_drawing_to_html_is_refused(self, simple_schedule):
+        # html embeds a schedule; a bare drawing has none to embed
+        with pytest.raises(RenderError, match="write a drawing as .svg"):
+            render_drawing(layout_schedule(simple_schedule), "html")
 
     def test_registered_as_output_format(self, tmp_path, simple_schedule):
         from repro.render.api import export_schedule

@@ -142,3 +142,80 @@ class TestPolicies:
                 easy_wins += 1
         assert easy_wins >= int(0.7 * trials)
         assert wait_gain > 0  # EASY reduces mean waiting overall
+
+
+def _placement_digest(results) -> str:
+    import hashlib
+    import json
+
+    rows = [[r.job.id, r.start_time, list(r.nodes)] for r in results]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestPinnedPlacements:
+    """Exact placements (job id, start time, node tuple, in start order) of
+    FCFS and EASY on the Figure 13 Thunder day and a Poisson stream.  Any
+    change to the event loop that moves one job by one node or one ulp of
+    start time changes the digest."""
+
+    @pytest.mark.parametrize("policy", ["fcfs", "easy"])
+    def test_thunder_day(self, policy):
+        from repro.workloads.thunder import ThunderSpec, generate_thunder_day
+
+        jobs = generate_thunder_day(ThunderSpec(), seed=20070202)
+        results = simulate_jobs(jobs, 1024, policy=policy,
+                                reserved_nodes=range(20))
+        assert len(results) == len(jobs)
+        assert _placement_digest(results) == _PINNED[("thunder", policy)]
+
+    @pytest.mark.parametrize("policy", ["fcfs", "easy"])
+    def test_poisson_stream(self, policy):
+        from repro.workloads.arrivals import poisson_arrivals
+
+        jobs = poisson_arrivals(1000, rate=0.1, seed=7)
+        results = simulate_jobs(jobs, 32, policy=policy)
+        assert len(results) == 1000
+        assert _placement_digest(results) == _PINNED[("poisson", policy)]
+
+    @pytest.mark.parametrize("policy", ["fcfs", "easy"])
+    def test_completion_arrival_and_zero_runtime_at_one_instant(self, policy):
+        """At t=10 job 1 completes while jobs 2 and 3 arrive: the one
+        decision at t=10 sees all three and starts job 4, the queue head
+        that arrived earlier.  At t=30 job 4 completes and job 2 starts
+        beside the zero-runtime job 3."""
+        jobs = [J(1, 0, 4, 10),
+                J(4, 5, 4, 20),     # queued head: waits for job 1
+                J(2, 10, 2, 5),
+                J(3, 10, 1, 0)]
+        results = simulate_jobs(jobs, 4, policy=policy)
+        placed = [(r.job.id, r.start_time, r.nodes) for r in results]
+        assert placed == [(1, 0.0, (0, 1, 2, 3)),
+                          (4, 10.0, (0, 1, 2, 3)),
+                          (2, 30.0, (0, 1)),
+                          (3, 30.0, (2,))]
+
+    @pytest.mark.parametrize("policy", ["fcfs", "easy"])
+    def test_zero_runtime_job_frees_its_nodes_at_its_start(self, policy):
+        """Job 1 completes at t=10 as jobs 2 and 3 arrive; job 2 starts and
+        ends at t=10, and a second decision at t=10 gives its nodes to
+        job 3."""
+        jobs = [J(1, 0, 3, 10),
+                J(2, 10, 4, 0),     # starts and ends at t=10
+                J(3, 10, 4, 7)]     # needs job 2's nodes back at t=10
+        results = simulate_jobs(jobs, 4, policy=policy)
+        placed = [(r.job.id, r.start_time, r.nodes) for r in results]
+        assert placed == [(1, 0.0, (0, 1, 2)),
+                          (2, 10.0, (0, 1, 2, 3)),
+                          (3, 10.0, (0, 1, 2, 3))]
+
+
+_PINNED = {
+    ("thunder", "fcfs"):
+        "272ad41d6f6e73b4fcd3f77f83dd718d53b9654422c11a97d96edd8c4f8c320d",
+    ("thunder", "easy"):
+        "38258d39935e04f0cd7bd1ee6410897495e8c8fef4bc8c629c4ea510f6c4c1fe",
+    ("poisson", "fcfs"):
+        "208f80f14f16f8f22bfcd919ab36c6dcad066f16dd5cd30f09ada18f141d2c33",
+    ("poisson", "easy"):
+        "7383981ca7c9e4129d976b54ab8d2679c35182f2d0689e3474f1facc15c8533c",
+}
