@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.core.model import Schedule
+from repro.io.json_fmt import canonical_schedule_bytes
 
 __all__ = ["CACHE_SCHEMA", "RenderCache", "schedule_digest", "cache_key",
            "cache_key_from_digest"]
@@ -43,16 +44,9 @@ CACHE_SCHEMA = 1
 
 
 def schedule_digest(schedule: Schedule) -> str:
-    """SHA-256 of the canonical schedule bytes.
-
-    Canonical = compact JSON with sorted keys over the structure-preserving
-    dict form, so load order, file format and whitespace do not matter.
-    """
-    from repro.io.json_fmt import to_dict
-
-    payload = json.dumps(to_dict(schedule), sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of the canonical schedule bytes
+    (:func:`repro.io.json_fmt.canonical_schedule_bytes`)."""
+    return hashlib.sha256(canonical_schedule_bytes(schedule)).hexdigest()
 
 
 def cache_key_from_digest(digest: str, request) -> str:

@@ -89,7 +89,11 @@ def _options_from(entry: dict, *, where: str, base: dict | None = None) -> dict:
     return options
 
 
-def _resolve(base: Path, value: str) -> str:
+def _resolve(base: Path, value):
+    """A relative path string resolved against ``base``; any other value
+    passes through for :class:`RenderRequest` to reject."""
+    if not isinstance(value, str):
+        return value
     path = Path(value)
     return str(path if path.is_absolute() else base / path)
 
@@ -98,7 +102,7 @@ def _request(where: str, source: str, **fields) -> RenderRequest:
     """Build one request; a rejected field becomes a located ParseError."""
     try:
         return RenderRequest(**fields)
-    except (TypeError, ValueError, RenderError) as exc:
+    except RenderError as exc:
         raise ParseError(f"{where}: {exc}", source=source) from exc
 
 
@@ -118,7 +122,11 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
     if not isinstance(defaults, dict):
         raise ParseError("'defaults' must be an object", source=source)
     base_options = _options_from(defaults, where="defaults")
-    out_dir = base / doc.get("output_dir", ".")
+    out_dir = doc.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ParseError(f"'output_dir' must be a path string, "
+                         f"got {out_dir!r}", source=source)
+    out_dir = base / out_dir
 
     requests: list[RenderRequest] = []
     for i, entry in enumerate(jobs):
@@ -127,12 +135,15 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
             raise ParseError(f"{where} must be an object", source=source)
         if "input" not in entry:
             raise ParseError(f"{where} needs an 'input' path", source=source)
+        for key in ("input", "output"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ParseError(f"{where}: {key!r} must be a path string, "
+                                 f"got {entry[key]!r}", source=source)
         options = _options_from(entry, where=where, base=base_options)
-        if options.get("style_path"):
-            options["style_path"] = _resolve(base, options["style_path"])
-        if options.get("cmap_path"):
-            options["cmap_path"] = _resolve(base, options["cmap_path"])
-        input_path = _resolve(base, str(entry["input"]))
+        for key in ("style_path", "cmap_path"):
+            if options.get(key):
+                options[key] = _resolve(base, options[key])
+        input_path = _resolve(base, entry["input"])
         stem = Path(input_path).stem
 
         formats = entry.get("formats")
@@ -152,7 +163,7 @@ def manifest_requests(doc: dict, *, base_dir: str | Path = ".",
             continue
 
         if "output" in entry:
-            out = Path(str(entry["output"]))
+            out = Path(entry["output"])
             output_path = str(out if out.is_absolute() else out_dir / out)
         else:
             fmt = options.get("output_format") \

@@ -44,12 +44,18 @@ from repro.batch.cache import (
     stat_token,
 )
 from repro.batch.manifest import BatchManifest, load_manifest
-from repro.errors import BatchError, ReproError
+from repro.errors import BatchError
+from repro.io.json_fmt import schedule_from_canonical
 from repro.obs import core as _obs
-from repro.render.api import RenderRequest, RenderResult
+from repro.render.api import (
+    RenderRequest,
+    RenderResult,
+    deliver,
+    render_request_bytes,
+)
 
 __all__ = ["BatchReport", "run_batch", "run_manifest", "batch_record",
-           "execute_with_cache", "DEFAULT_CACHE_DIR"]
+           "execute_with_cache", "run_job", "DEFAULT_CACHE_DIR"]
 
 #: Cache location when a batch asks for caching but names no directory.
 DEFAULT_CACHE_DIR = ".jedule-cache"
@@ -61,106 +67,59 @@ def execute_with_cache(request: RenderRequest,
     """Execute one request through the content-addressed cache.
 
     This is the warm-worker entry point, but it is just as happy running
-    inline (``jobs=1``).  With ``cache_dir=None`` it degrades to a plain
-    :func:`~repro.render.api.execute_request`.
+    inline (``jobs=1``).  With ``cache_dir=None`` it renders without
+    consulting any cache, like :func:`~repro.render.api.execute_request`.
 
     ``schedule_bytes`` is the *canonical* byte form of an in-memory
-    schedule (:func:`repro.serve.protocol.canonical_schedule_bytes`):
+    schedule (:func:`repro.io.json_fmt.canonical_schedule_bytes`):
     because those bytes are exactly what :func:`schedule_digest` hashes,
     the cache key is derived by hashing them directly — a repeat request
     is served without parsing the schedule at all.
     """
-    from repro.render.api import execute_request
-
-    def _schedule_from_bytes():
-        from repro.serve.protocol import schedule_from_canonical
-
-        return schedule_from_canonical(schedule_bytes)
-
     started = perf_counter()
-    if cache_dir is None:
-        return execute_request(
-            request, _schedule_from_bytes() if schedule_bytes is not None
-            else None)
-
-    cache = RenderCache(cache_dir)
     schedule = None
-    if schedule_bytes is not None:
-        digest = hashlib.sha256(schedule_bytes).hexdigest()
-    else:
-        digest = (cache.digest_hint(request.input_path)
-                  if request.input_path else None)
-        if digest is None:
-            token = stat_token(request.input_path) \
-                if request.input_path else None
-            schedule = request.load_schedule()
-            digest = schedule_digest(schedule)
-            if request.input_path:
-                cache.remember_digest(request.input_path, digest, token=token)
-    key = cache_key_from_digest(digest, request)
-    data = cache.get(key)
-    if data is not None:
-        if request.output_path is not None:
-            out = Path(request.output_path)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_bytes(data)
-        return RenderResult(
-            input_path=request.input_path,
-            output_path=request.output_path,
-            format=request.resolved_output_format(),
-            nbytes=len(data),
-            duration_s=perf_counter() - started,
-            cache="hit",
-            data=None if request.output_path is not None else data,
-        )
-    from repro.render.api import render_request_bytes
-
-    if schedule is None:
-        schedule = _schedule_from_bytes() if schedule_bytes is not None \
-            else request.load_schedule()
-    rendered = render_request_bytes(request, schedule)
-    cache.put(key, rendered)
-    if request.output_path is not None:
-        out = Path(request.output_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(rendered)
-    return RenderResult(
-        input_path=request.input_path,
-        output_path=request.output_path,
-        format=request.resolved_output_format(),
-        nbytes=len(rendered),
-        duration_s=perf_counter() - started,
-        cache="miss",
-        data=None if request.output_path is not None else rendered,
-    )
+    if cache_dir is not None:
+        cache = RenderCache(cache_dir)
+        if schedule_bytes is not None:
+            digest = hashlib.sha256(schedule_bytes).hexdigest()
+        else:
+            digest = (cache.digest_hint(request.input_path)
+                      if request.input_path else None)
+            if digest is None:
+                token = stat_token(request.input_path) \
+                    if request.input_path else None
+                schedule = request.load_schedule()
+                digest = schedule_digest(schedule)
+                if request.input_path:
+                    cache.remember_digest(request.input_path, digest,
+                                          token=token)
+        key = cache_key_from_digest(digest, request)
+        data = cache.get(key)
+        if data is not None:
+            return deliver(request, data, started=started, cache="hit")
+    if schedule is None and schedule_bytes is not None:
+        schedule = schedule_from_canonical(schedule_bytes)
+    data = render_request_bytes(request, schedule)
+    if cache_dir is None:
+        return deliver(request, data, started=started)
+    cache.put(key, data)
+    return deliver(request, data, started=started, cache="miss")
 
 
-def _fmt(request: RenderRequest) -> str:
-    """Best-effort output format for report rows (never raises)."""
-    try:
-        return request.resolved_output_format()
-    except ReproError:
-        return "?"
+def run_job(request: RenderRequest, cache_dir: str | None,
+            schedule_bytes: bytes | None = None) -> RenderResult:
+    """:func:`execute_with_cache` that never raises: a failed job comes
+    back as a :meth:`RenderResult.failure` row, whatever went wrong.
 
-
-def _worker(request: RenderRequest, cache_dir: str | None) -> RenderResult:
-    """Pool entry point: never raises; failures come back as results."""
+    The one job executor of the inline batch path and the warm workers.
+    """
     started = perf_counter()
     try:
-        return execute_with_cache(request, cache_dir)
-    except ReproError as exc:
-        error = str(exc)
-    except Exception as exc:  # defensive: a worker crash must stay a report row
-        error = f"{type(exc).__name__}: {exc}"
-    return RenderResult(
-        input_path=request.input_path,
-        output_path=request.output_path,
-        format=_fmt(request),
-        nbytes=0,
-        duration_s=perf_counter() - started,
-        cache="off" if cache_dir is None else "miss",
-        error=error,
-    )
+        return execute_with_cache(request, cache_dir,
+                                  schedule_bytes=schedule_bytes)
+    except Exception as exc:  # a job crash must stay a report row
+        return RenderResult.failure(request, exc, cache_dir=cache_dir,
+                                    duration_s=perf_counter() - started)
 
 
 @dataclass
@@ -218,15 +177,6 @@ class BatchReport:
         }
 
 
-def _run_serial(requests, cache_dir, report: BatchReport) -> None:
-    for request in requests:
-        with _obs.span("batch.job", input=str(request.input_path)) as sp:
-            result = _worker(request, cache_dir)
-            sp.set(cache=result.cache, ok=result.ok)
-        report.results.append(result)
-        _record_result(result)
-
-
 def _record_result(result: RenderResult) -> None:
     if result.cache == "hit":
         _obs.add("batch.cache.hit")
@@ -235,25 +185,32 @@ def _record_result(result: RenderResult) -> None:
     _obs.add("batch.jobs.ok" if result.ok else "batch.jobs.failed")
 
 
-def _run_pool(requests, cache_dir, jobs, timeout_s,
-              report: BatchReport) -> None:
-    """Fan requests across the process-wide warm pool.
+def _run_round(requests, cache_dir, jobs, timeout_s) -> list[RenderResult]:
+    """Run one round of jobs: inline when there is one job or one worker,
+    else fanned across the process-wide warm pool.
 
     The pool outlives this batch: repeated runs reuse the same resident
     workers (the fix for per-invocation spawn + import cost).  A worker
     stuck past the batch deadline is killed and respawned; a crashed
-    worker fails only its own job, which the retry rounds above may
-    still rescue.
+    worker fails only its own job, which a retry round may still rescue.
     """
-    from repro.serve.pool import shared_pool
+    if jobs == 1 or len(requests) == 1:
+        results = []
+        for request in requests:
+            with _obs.span("batch.job", input=str(request.input_path)) as sp:
+                result = run_job(request, cache_dir)
+                sp.set(cache=result.cache, ok=result.ok)
+            results.append(result)
+    else:
+        from repro.serve.pool import shared_pool
 
-    pool = shared_pool(jobs)
-    results = pool.map_requests(requests, cache_dir=cache_dir,
-                                deadline_s=timeout_s, max_parallel=jobs)
-    _graft_worker_segments(results)
+        results = shared_pool(jobs).map_requests(
+            requests, cache_dir=cache_dir, deadline_s=timeout_s,
+            max_parallel=jobs)
+        _graft_worker_segments(results)
     for result in results:
-        report.results.append(result)
         _record_result(result)
+    return results
 
 
 def _graft_worker_segments(results) -> None:
@@ -318,11 +275,7 @@ def run_batch(
     started = perf_counter()
     with _obs.span("batch.run", jobs=len(requests), workers=jobs,
                    cache=cache or "off"):
-        if jobs == 1 or len(requests) == 1:
-            _run_serial(requests, cache, report)
-        else:
-            _run_pool(requests, cache, jobs, timeout_s, report)
-
+        report.results = _run_round(requests, cache, jobs, timeout_s)
         round_no = 0
         while not report.ok and round_no < retries:
             round_no += 1
@@ -330,14 +283,10 @@ def run_batch(
             retry_idx = [i for i, r in enumerate(report.results) if not r.ok]
             retry_requests = [requests[i] for i in retry_idx]
             _obs.add("batch.jobs.retried", len(retry_requests))
-            sub = BatchReport(workers=jobs, cache_dir=cache)
             with _obs.span("batch.retry", round=round_no,
                            jobs=len(retry_requests)):
-                if jobs == 1 or len(retry_requests) == 1:
-                    _run_serial(retry_requests, cache, sub)
-                else:
-                    _run_pool(retry_requests, cache, jobs, timeout_s, sub)
-            for slot, result in zip(retry_idx, sub.results):
+                retried = _run_round(retry_requests, cache, jobs, timeout_s)
+            for slot, result in zip(retry_idx, retried):
                 report.results[slot] = dc_replace(
                     result, attempts=report.results[slot].attempts + 1)
     report.elapsed_s = perf_counter() - started

@@ -323,15 +323,20 @@ def _render_one(args: argparse.Namespace, input_path: str, output: Path) -> None
     print(f"wrote {output}")
 
 
-def _export_observability(args: argparse.Namespace, trace) -> None:
-    """Write/print the collected pipeline trace per the --trace* flags."""
+def _export_observability(args: argparse.Namespace, trace,
+                          record=None) -> None:
+    """Write/print the collected pipeline trace per the --trace* flags.
+
+    ``record`` is the run-registry record ``--runlog`` appends; without
+    one, a ``render`` record is built from the trace.
+    """
     from repro import obs
 
     if args.trace:
         Path(args.trace).write_text(obs.to_chrome_json(trace, indent=2),
                                     encoding="utf-8")
         print(f"wrote {args.trace} ({len(trace.spans)} spans)")
-    if args.trace_gantt:
+    if getattr(args, "trace_gantt", None):
         from repro.render.api import export_schedule
 
         gantt = obs.trace_to_schedule(trace)
@@ -341,11 +346,12 @@ def _export_observability(args: argparse.Namespace, trace) -> None:
     if args.stats:
         print(obs.summary_table(trace), end="")
     if args.runlog:
-        record = obs.record_from_trace(
-            "cli", "render", trace,
-            metrics=getattr(args, "_schedule_metrics", None),
-            meta={"inputs": list(args.input),
-                  "output": args.output or args.outdir})
+        if record is None:
+            record = obs.record_from_trace(
+                "cli", "render", trace,
+                metrics=getattr(args, "_schedule_metrics", None),
+                meta={"inputs": list(args.input),
+                      "output": args.output or args.outdir})
         obs.RunLog(args.runlog).append(record)
         print(f"logged run {record.run_id} to {args.runlog}")
 
@@ -399,17 +405,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
         with obs.capture() as trace:
             report = run_manifest(manifest, **kwargs)
-        if args.trace:
-            Path(args.trace).write_text(obs.to_chrome_json(trace, indent=2),
-                                        encoding="utf-8")
-            print(f"wrote {args.trace} ({len(trace.spans)} spans)")
-        if args.stats:
-            print(obs.summary_table(trace), end="")
-        if args.runlog:
-            record = batch_record(report, trace=trace,
-                                  meta={"manifest": str(args.manifest)})
-            obs.RunLog(args.runlog).append(record)
-            print(f"logged run {record.run_id} to {args.runlog}")
+        record = batch_record(report, trace=trace,
+                              meta={"manifest": str(args.manifest)}) \
+            if args.runlog else None
+        _export_observability(args, trace, record)
     else:
         report = run_manifest(manifest, **kwargs)
 

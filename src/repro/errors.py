@@ -55,7 +55,19 @@ class ColorError(ReproError):
 
 
 class RenderError(ReproError):
-    """Rendering/layout failure (bad geometry, unsupported canvas op...)."""
+    """Rendering/layout failure (bad geometry, unsupported canvas op...).
+
+    A rejected :class:`~repro.render.api.RenderRequest` field also carries
+    the machine-readable ``code`` (``invalid-type``, ``invalid-value``,
+    ``invalid-dimension``, ``unknown-format``) and the ``field`` it names,
+    which the render service returns verbatim in its 400 body.
+    """
+
+    def __init__(self, message: str, *, code: str | None = None,
+                 field: str | None = None):
+        super().__init__(message)
+        self.code = code
+        self.field = field
 
 
 class BatchError(ReproError):

@@ -32,7 +32,8 @@ from repro.core.model import Cluster, Configuration, Schedule, Task
 from repro.errors import ParseError, ScheduleError
 from repro.io.text import read_utf8
 
-__all__ = ["loads", "load", "dumps", "dump", "to_dict", "from_dict"]
+__all__ = ["loads", "load", "dumps", "dump", "to_dict", "from_dict",
+           "canonical_schedule_bytes", "schedule_from_canonical"]
 
 
 def to_dict(schedule: Schedule) -> dict[str, Any]:
@@ -91,6 +92,30 @@ def _host_range(r: Any, task_id: Any, source: str) -> tuple[int, int]:
         return r[0], r[1]
     raise ParseError(f"task {task_id!r}: host range must be two integers "
                      f"[start, nb], got {r!r}", source=source)
+
+
+def canonical_schedule_bytes(schedule: Schedule) -> bytes:
+    """The canonical byte form of a schedule.
+
+    Compact, sorted-keys JSON over :func:`to_dict`, so load order, file
+    format and whitespace do not matter.  The render cache hashes these
+    bytes (:func:`repro.batch.cache.schedule_digest`) and the render
+    service ships them to its workers, so a worker holding them can
+    compute the cache key without parsing them.
+    """
+    return json.dumps(to_dict(schedule), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def schedule_from_canonical(data: bytes, *,
+                            source: str = "<wire>") -> Schedule:
+    """Rebuild a schedule from its canonical byte form."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"malformed canonical schedule bytes: {exc}",
+                         source=source) from exc
+    return from_dict(doc, source=source)
 
 
 def dumps(schedule: Schedule, *, indent: int | None = 2) -> str:

@@ -15,6 +15,8 @@ file).
 from __future__ import annotations
 
 import math
+import numbers
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -24,7 +26,7 @@ from repro.core.colormap import ColorMap
 from repro.core.model import Schedule
 from repro.core.timeframe import ViewMode
 from repro.core.viewport import Viewport
-from repro.errors import RenderError
+from repro.errors import RenderError, ReproError
 from repro.obs import core as _obs
 from repro.render.backends import (
     render_bmp,
@@ -48,6 +50,7 @@ __all__ = [
     "RenderRequest",
     "RenderResult",
     "execute_request",
+    "deliver",
     "render_request_bytes",
     "export_schedule",
     "render_drawing",
@@ -109,31 +112,62 @@ def render_drawing(drawing: Drawing, format: str) -> bytes:
     return data
 
 
-def _positive_int(name: str, value) -> int:
-    """Validate a dimension-like field: finite, numeric, >= 1.
-
-    NaN, infinities, negatives, zero and non-numeric junk used to slip
-    through here and surface as cryptic worker-side layout crashes; the
-    serve front end needs them rejected at request-construction time so
-    they can become structured 400 responses.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RenderError(f"{name} must be a number, got {value!r}")
+def _number(name: str, value) -> float:
+    """A finite real number, else a coded :class:`RenderError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RenderError(f"{name} must be a number, got {value!r}",
+                          code="invalid-type", field=name)
     if not math.isfinite(value):
-        raise RenderError(f"{name} must be finite, got {value!r}")
+        raise RenderError(f"{name} must be finite, got {value!r}",
+                          code="invalid-value", field=name)
+    return value
+
+
+def _positive_int(name: str, value) -> int:
+    """Validate a dimension-like field: finite, numeric, whole, >= 1.
+
+    NaN, infinities, negatives, zero and non-numeric junk would otherwise
+    surface as cryptic worker-side layout crashes; rejecting them at
+    request construction lets every front end report them as structured
+    errors.
+    """
+    _number(name, value)
     if int(value) != value:
-        raise RenderError(f"{name} must be a whole number, got {value!r}")
+        raise RenderError(f"{name} must be a whole number, got {value!r}",
+                          code="invalid-dimension", field=name)
     if value < 1:
-        raise RenderError(f"{name} must be >= 1, got {value!r}")
+        raise RenderError(f"{name} must be >= 1, got {value!r}",
+                          code="invalid-dimension", field=name)
     return int(value)
 
 
-def _as_str_tuple(value) -> tuple[str, ...] | None:
+def _str_tuple(name: str, value) -> tuple[str, ...] | None:
+    """``None``, a bare string (a one-element tuple) or a list of strings."""
     if value is None:
         return None
     if isinstance(value, str):
         return (value,)
-    return tuple(str(v) for v in value)
+    if isinstance(value, (list, tuple)) and \
+            all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise RenderError(f"{name} must be a string or a list of strings, "
+                      f"got {value!r}", code="invalid-type", field=name)
+
+
+def _window(value) -> tuple[float, float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise RenderError(f"window must be a [t0, t1] pair, got {value!r}",
+                          code="invalid-value", field="window")
+    return (float(_number("window[0]", value[0])),
+            float(_number("window[1]", value[1])))
+
+
+_PATH_FIELDS = ("input_path", "output_path", "style_path", "cmap_path")
+_STRING_FIELDS = ("input_format", "title", "auto_colors")
+_FLAG_FIELDS = ("grayscale", "composites", "with_profile")
+_DIMENSION_FIELDS = ("width", "height", "html_threshold", "html_tiers")
 
 
 @dataclass(frozen=True)
@@ -180,47 +214,73 @@ class RenderRequest:
     html_tiers: int = DEFAULT_HTML_TIERS
 
     def __post_init__(self) -> None:
-        for key in ("input_path", "output_path", "style_path", "cmap_path"):
+        """The one field validator of every front end (library, batch
+        manifests, ``jedule serve``): a rejected field raises
+        :class:`RenderError` carrying its ``code`` and ``field``."""
+        def put(key: str, value) -> None:
+            object.__setattr__(self, key, value)
+
+        for key in _PATH_FIELDS:
+            value = getattr(self, key)
+            if value is None:
+                continue
+            if not isinstance(value, (str, os.PathLike)):
+                raise RenderError(f"{key} must be a path string, "
+                                  f"got {value!r}",
+                                  code="invalid-type", field=key)
+            put(key, str(value))
+        for key in _STRING_FIELDS:
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
-                object.__setattr__(self, key, str(value))
-        for key in ("width", "height", "html_threshold", "html_tiers"):
-            object.__setattr__(self, key, _positive_int(key, getattr(self, key)))
+                raise RenderError(f"{key} must be a string, got {value!r}",
+                                  code="invalid-type", field=key)
+        for key in _FLAG_FIELDS:
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise RenderError(f"{key} must be a boolean, got {value!r}",
+                                  code="invalid-type", field=key)
+        for key in _DIMENSION_FIELDS:
+            put(key, _positive_int(key, getattr(self, key)))
         if self.html_tiers > MAX_HTML_TIERS:
             raise RenderError(
-                f"html_tiers must be in 1..{MAX_HTML_TIERS}, got {self.html_tiers}")
-        mode = self.mode
-        if isinstance(mode, ViewMode):
-            object.__setattr__(self, "mode", mode.value)
-        else:
-            object.__setattr__(self, "mode", ViewMode.parse(str(mode)).value)
+                f"html_tiers must be in 1..{MAX_HTML_TIERS}, "
+                f"got {self.html_tiers}",
+                code="invalid-dimension", field="html_tiers")
+        mode = self.mode.value if isinstance(self.mode, ViewMode) \
+            else self.mode
+        if not isinstance(mode, str):
+            raise RenderError(f"mode must be a string, got {mode!r}",
+                              code="invalid-type", field="mode")
+        try:
+            put("mode", ViewMode.parse(mode).value)
+        except ValueError as exc:
+            raise RenderError(str(exc), code="invalid-value",
+                              field="mode") from None
         if isinstance(self.lod, str):
             if self.lod not in LOD_MODES:
                 raise RenderError(
                     f"unknown lod mode {self.lod!r} (expected one of: "
-                    f"{', '.join(LOD_MODES)})")
+                    f"{', '.join(LOD_MODES)})",
+                    code="unknown-format", field="lod")
         elif not isinstance(self.lod, LodOptions):
             raise RenderError(
-                f"lod must be a mode name or LodOptions, got {self.lod!r}")
-        object.__setattr__(self, "types", _as_str_tuple(self.types))
-        object.__setattr__(self, "clusters", _as_str_tuple(self.clusters))
-        if self.window is not None:
-            t0, t1 = self.window
-            t0, t1 = float(t0), float(t1)
-            if not (math.isfinite(t0) and math.isfinite(t1)):
-                raise RenderError(
-                    f"window bounds must be finite, got ({t0!r}, {t1!r})")
-            object.__setattr__(self, "window", (t0, t1))
+                f"lod must be a mode name or LodOptions, got {self.lod!r}",
+                code="invalid-type", field="lod")
+        put("types", _str_tuple("types", self.types))
+        put("clusters", _str_tuple("clusters", self.clusters))
+        put("window", _window(self.window))
         if self.output_format is not None:
             if not isinstance(self.output_format, str):
                 raise RenderError(f"output_format must be a string, "
-                                  f"got {self.output_format!r}")
+                                  f"got {self.output_format!r}",
+                                  code="invalid-type", field="output_format")
             fmt = self.output_format.lower()
             if fmt not in REQUEST_FORMATS:
                 raise RenderError(
                     f"unknown output format {fmt!r}; "
-                    f"supported: {', '.join(REQUEST_FORMATS)}")
-            object.__setattr__(self, "output_format", fmt)
+                    f"supported: {', '.join(REQUEST_FORMATS)}",
+                    code="unknown-format", field="output_format")
+            put("output_format", fmt)
 
     # ------------------------------------------------------------ resolution
     def with_options(self, **updates) -> "RenderRequest":
@@ -367,6 +427,33 @@ class RenderResult:
     #: (see repro.obs.export.trace_to_doc); local-only, never in to_json
     worker_obs: dict | None = field(default=None, repr=False, compare=False)
 
+    @classmethod
+    def failure(cls, request: RenderRequest | None,
+                error: str | BaseException, *, cache_dir: str | None,
+                duration_s: float = 0.0, attempts: int = 1) -> "RenderResult":
+        """The result of a job that produced no bytes.
+
+        ``request`` is ``None`` when the job could not even be decoded.
+        An exception becomes its message (prefixed with its type unless it
+        is a :class:`~repro.errors.ReproError`).  The format is ``"?"``
+        when it cannot be resolved, and ``cache`` is ``"off"`` without a
+        cache directory, else ``"miss"``.
+        """
+        if isinstance(error, BaseException) and \
+                not isinstance(error, ReproError):
+            error = f"{type(error).__name__}: {error}"
+        fmt = "?"
+        if request is not None:
+            try:
+                fmt = request.resolved_output_format()
+            except RenderError:
+                pass
+        return cls(input_path=getattr(request, "input_path", None),
+                   output_path=getattr(request, "output_path", None),
+                   format=fmt, nbytes=0, duration_s=duration_s,
+                   cache="off" if cache_dir is None else "miss",
+                   error=str(error), attempts=attempts)
+
     @property
     def ok(self) -> bool:
         return self.error is None
@@ -412,10 +499,10 @@ def render_request_bytes(request: RenderRequest,
     ``schedule`` bypasses ``input_path`` loading for in-memory use; the
     request's filters/composites still apply.
     """
+    fmt = request.resolved_output_format()
     if schedule is None:
         schedule = request.load_schedule()
     schedule = request.transformed(schedule)
-    fmt = request.resolved_output_format()
     if fmt == "html":
         return _render_html_request(schedule, request)
     drawing = _layout_request(schedule, request)
@@ -449,6 +536,26 @@ def _render_html_request(schedule: Schedule, request: RenderRequest) -> bytes:
     return data
 
 
+def deliver(request: RenderRequest, data: bytes, *, started: float,
+            cache: str = "off") -> RenderResult:
+    """Hand rendered bytes over: written to ``output_path`` when the
+    request names one, else kept on the result.  ``started`` is the
+    :func:`~time.perf_counter` reading the job's duration counts from."""
+    if request.output_path is not None:
+        out = Path(request.output_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_bytes(data)
+    return RenderResult(
+        input_path=request.input_path,
+        output_path=request.output_path,
+        format=request.resolved_output_format(),
+        nbytes=len(data),
+        duration_s=perf_counter() - started,
+        cache=cache,
+        data=None if request.output_path is not None else data,
+    )
+
+
 def execute_request(request: RenderRequest,
                     schedule: Schedule | None = None) -> RenderResult:
     """Execute one render request end to end.
@@ -457,22 +564,9 @@ def execute_request(request: RenderRequest,
     — when ``output_path`` is set — writes the file.  Never consults the
     render cache; that is :mod:`repro.batch`'s job.
     """
-    fmt = request.resolved_output_format()
     started = perf_counter()
-    data = render_request_bytes(request, schedule)
-    if request.output_path is not None:
-        out = Path(request.output_path)
-        if out.parent != Path("."):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(data)
-    return RenderResult(
-        input_path=request.input_path,
-        output_path=request.output_path,
-        format=fmt,
-        nbytes=len(data),
-        duration_s=perf_counter() - started,
-        data=None if request.output_path is not None else data,
-    )
+    return deliver(request, render_request_bytes(request, schedule),
+                   started=started)
 
 
 def export_schedule(

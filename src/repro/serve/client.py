@@ -16,12 +16,9 @@ import time
 import uuid
 
 from repro.errors import ServeError
+from repro.io.json_fmt import to_dict
 from repro.render.api import RenderRequest
-from repro.serve.protocol import (
-    TRACE_HEADER,
-    canonical_schedule_bytes,
-    request_to_payload,
-)
+from repro.serve.protocol import TRACE_HEADER, request_to_payload
 
 __all__ = ["ServeClient"]
 
@@ -128,7 +125,8 @@ class ServeClient:
         """Submit one job; returns the job document (``id``, ``status``).
 
         ``schedule`` may be an in-memory :class:`~repro.core.model.Schedule`
-        (shipped as its canonical dict form) for input-path-less jobs.
+        (shipped as its :func:`~repro.io.json_fmt.to_dict` form) for
+        input-path-less jobs.
         A ``trace_id`` is minted per submission (pass your own to join an
         outer trace) and sent as ``X-Jedule-Trace``; the server threads
         it through queue and worker and exposes the stitched request
@@ -138,9 +136,7 @@ class ServeClient:
         """
         doc: dict[str, object] = {"request": request_to_payload(request)}
         if schedule is not None:
-            # reuse the canonical byte form so client and server agree
-            doc["schedule"] = json.loads(
-                canonical_schedule_bytes(schedule).decode("utf-8"))
+            doc["schedule"] = to_dict(schedule)
         if trace_id is None:
             trace_id = uuid.uuid4().hex[:16]
         status, headers, body = self.request(

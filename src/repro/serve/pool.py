@@ -8,7 +8,7 @@ pre-imports the render stack, then sits in a loop receiving jobs over a
 * frame 1 — a JSON header (the plain-payload render request, the cache
   directory, flags);
 * frame 2 (optional) — the *canonical schedule bytes* of an in-memory
-  schedule (see :func:`repro.serve.protocol.canonical_schedule_bytes`).
+  schedule (see :func:`repro.io.json_fmt.canonical_schedule_bytes`).
 
 Nothing is pickled across the boundary on the canonical path; requests
 that carry in-memory style/colormap objects fall back to an explicit
@@ -41,9 +41,8 @@ import queue as _queue
 import threading
 import time
 import uuid
-from time import perf_counter
 
-from repro.errors import ReproError, ServeError
+from repro.errors import ServeError
 from repro.obs import core as _obs
 from repro.render.api import RenderRequest, RenderResult
 from repro.serve.protocol import (
@@ -93,39 +92,19 @@ class WorkerTimeout(ServeError):
 # --------------------------------------------------------------- worker side
 def _execute_job(header: dict, schedule_bytes: bytes | None):
     """Run one job inside a worker; returns (meta dict, data bytes|None)."""
-    from repro.batch.runner import execute_with_cache
+    from repro.batch.runner import run_job
 
-    started = perf_counter()
-    request = None
+    cache_dir = header.get("cache_dir")
     try:
         if "pickle" in header:
             request = pickle.loads(base64.b64decode(header["pickle"]))
         else:
             request = request_from_payload(header["request"])
-        result = execute_with_cache(request, header.get("cache_dir"),
-                                    schedule_bytes=schedule_bytes)
-    except ReproError as exc:
-        result = _error_result(request, str(exc), started,
-                               header.get("cache_dir"))
-    except Exception as exc:  # a worker must answer, whatever happened
-        result = _error_result(request, f"{type(exc).__name__}: {exc}",
-                               started, header.get("cache_dir"))
+    except Exception as exc:  # a worker must answer, whatever it was sent
+        result = RenderResult.failure(None, exc, cache_dir=cache_dir)
+    else:
+        result = run_job(request, cache_dir, schedule_bytes)
     return result_to_payload(result), result.data
-
-
-def _error_result(request, error: str, started: float,
-                  cache_dir) -> RenderResult:
-    fmt = "?"
-    if request is not None:
-        try:
-            fmt = request.resolved_output_format()
-        except ReproError:
-            pass
-    return RenderResult(
-        input_path=getattr(request, "input_path", None),
-        output_path=getattr(request, "output_path", None),
-        format=fmt, nbytes=0, duration_s=perf_counter() - started,
-        cache="off" if cache_dir is None else "miss", error=error)
 
 
 def _worker_main(conn, debug_hooks: bool = False) -> None:
@@ -448,25 +427,26 @@ class WorkerPool:
             try:
                 index = self._acquire(timeout=timeout)
             except _queue.Empty:
-                return self._failure(request, cache_dir,
-                                     f"no idle worker within {timeout:g}s")
+                return RenderResult.failure(
+                    request, f"no idle worker within {timeout:g}s",
+                    cache_dir=cache_dir)
             except ServeError as exc:  # pool broken: every worker is dead
-                return self._failure(request, cache_dir, str(exc),
-                                     attempts=attempt)
+                return RenderResult.failure(request, exc, cache_dir=cache_dir,
+                                            attempts=attempt)
             try:
                 result = self.run_once_on(
                     index, request, schedule_bytes=schedule_bytes,
                     timeout=timeout, header=header)
             except WorkerTimeout:
-                return self._failure(
-                    request, cache_dir,
-                    f"timed out after {timeout:g}s (worker killed)")
+                return RenderResult.failure(
+                    request, f"timed out after {timeout:g}s (worker killed)",
+                    cache_dir=cache_dir)
             except WorkerCrash as exc:
                 if attempt <= crash_retries and self.usable:
                     continue
-                return self._failure(
-                    request, cache_dir,
-                    f"{exc} (after {attempt} attempt(s))", attempts=attempt)
+                return RenderResult.failure(
+                    request, f"{exc} (after {attempt} attempt(s))",
+                    cache_dir=cache_dir, attempts=attempt)
             finally:
                 if self._workers[index].alive:
                     self._idle.put(index)
@@ -504,9 +484,9 @@ class WorkerPool:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        results[i] = self._failure(
-                            requests[i], cache_dir,
-                            f"timed out after {deadline_s:g}s")
+                        results[i] = RenderResult.failure(
+                            requests[i], f"timed out after {deadline_s:g}s",
+                            cache_dir=cache_dir)
                         continue
                 results[i] = self.run_request(
                     requests[i], cache_dir=cache_dir, timeout=remaining,
@@ -521,7 +501,8 @@ class WorkerPool:
         for t in threads:
             t.join()
         return [r if r is not None else
-                self._failure(requests[i], cache_dir, "internal: job dropped")
+                RenderResult.failure(requests[i], "internal: job dropped",
+                                     cache_dir=cache_dir)
                 for i, r in enumerate(results)]
 
     # ------------------------------------------------------------ internals
@@ -544,19 +525,6 @@ class WorkerPool:
             if self.restart_worker(index):
                 return index
             # restart budget exhausted: token dropped, look again
-
-    def _failure(self, request: RenderRequest, cache_dir, error: str,
-                 *, attempts: int = 1) -> RenderResult:
-        fmt = "?"
-        try:
-            fmt = request.resolved_output_format()
-        except ReproError:
-            pass
-        return RenderResult(
-            input_path=request.input_path, output_path=request.output_path,
-            format=fmt, nbytes=0, duration_s=0.0,
-            cache="off" if cache_dir is None else "miss",
-            error=error, attempts=attempts)
 
 
 # ------------------------------------------------------------- shared pool

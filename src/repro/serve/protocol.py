@@ -6,21 +6,19 @@ raw canonical schedule bytes) and the client helper.  Everything here is
 plain-JSON-able on purpose — no pickled object graphs cross a process or
 network boundary.
 
-Validation is deliberately strict and *structured*: a bad field raises
-:class:`~repro.errors.ServeError` carrying a machine-readable ``code``
-and ``field``, which the HTTP layer returns verbatim as a 400 body
-instead of letting the junk surface as a worker-side traceback.
+Field validation is :class:`~repro.render.api.RenderRequest`'s own, the
+same for the library, batch manifests and the wire: a bad field raises
+:class:`~repro.errors.ServeError` carrying the validator's
+machine-readable ``code`` and ``field``, which the HTTP layer returns
+verbatim as a 400 body instead of letting the junk surface as a
+worker-side traceback.
 """
 
 from __future__ import annotations
 
-import json
-import math
-
-from repro.core.model import Schedule
-from repro.errors import ParseError, RenderError, ServeError
-from repro.render.api import REQUEST_FORMATS, RenderRequest, RenderResult
-from repro.render.lod import LOD_MODES
+from repro.errors import RenderError, ServeError
+from repro.io.json_fmt import canonical_schedule_bytes, schedule_from_canonical
+from repro.render.api import RenderRequest, RenderResult
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -52,13 +50,6 @@ REQUEST_FIELDS = frozenset({
     "composites", "with_profile", "html_threshold", "html_tiers",
 })
 
-_BOOL_FIELDS = frozenset({"grayscale", "composites", "with_profile"})
-_STRING_FIELDS = frozenset({
-    "input_path", "input_format", "output_path", "output_format",
-    "mode", "title", "lod", "style_path", "cmap_path", "auto_colors",
-})
-_LIST_FIELDS = frozenset({"types", "clusters"})
-
 
 def _bad(message: str, *, code: str = "bad-request",
          field: str | None = None) -> ServeError:
@@ -84,20 +75,10 @@ def request_to_payload(request: RenderRequest) -> dict:
         value = getattr(request, key)
         if value is None:
             continue
-        if key in _LIST_FIELDS or key == "window":
+        if isinstance(value, tuple):
             value = list(value)
         payload[key] = value
     return payload
-
-
-def _check_number(field: str, value, *, reject_nan: bool = True) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _bad(f"{field} must be a number, got {value!r}",
-                   code="invalid-type", field=field)
-    if reject_nan and not math.isfinite(value):
-        raise _bad(f"{field} must be finite, got {value!r}",
-                   code="invalid-value", field=field)
-    return float(value)
 
 
 def request_from_payload(doc: object) -> RenderRequest:
@@ -116,54 +97,12 @@ def request_from_payload(doc: object) -> RenderRequest:
         raise _bad(f"unknown request field(s): {', '.join(sorted(unknown))}",
                    code="unknown-field", field=sorted(unknown)[0])
 
-    kwargs: dict[str, object] = {}
-    for field, value in doc.items():
-        if value is None:
-            continue
-        if field in ("width", "height", "html_threshold", "html_tiers"):
-            number = _check_number(field, value)
-            if number != int(number) or number < 1:
-                raise _bad(f"{field} must be a positive whole number, "
-                           f"got {value!r}", code="invalid-dimension",
-                           field=field)
-            kwargs[field] = int(number)
-        elif field in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise _bad(f"{field} must be a boolean, got {value!r}",
-                           code="invalid-type", field=field)
-            kwargs[field] = value
-        elif field in _LIST_FIELDS:
-            if not isinstance(value, (list, tuple)) or \
-                    not all(isinstance(v, str) for v in value):
-                raise _bad(f"{field} must be a list of strings, got {value!r}",
-                           code="invalid-type", field=field)
-            kwargs[field] = tuple(value)
-        elif field == "window":
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise _bad(f"window must be a [t0, t1] pair, got {value!r}",
-                           code="invalid-value", field="window")
-            kwargs[field] = (_check_number("window[0]", value[0]),
-                             _check_number("window[1]", value[1]))
-        elif field in _STRING_FIELDS:
-            if not isinstance(value, str):
-                raise _bad(f"{field} must be a string, got {value!r}",
-                           code="invalid-type", field=field)
-            if field == "output_format" and value.lower() not in REQUEST_FORMATS:
-                raise _bad(
-                    f"unknown output format {value!r}; supported: "
-                    f"{', '.join(REQUEST_FORMATS)}",
-                    code="unknown-format", field=field)
-            if field == "lod" and value not in LOD_MODES:
-                raise _bad(f"unknown lod mode {value!r} (expected one of: "
-                           f"{', '.join(LOD_MODES)})",
-                           code="unknown-format", field=field)
-            kwargs[field] = value
-        else:  # pragma: no cover - REQUEST_FIELDS and the sets above agree
-            raise _bad(f"unhandled field {field!r}", field=field)
     try:
-        return RenderRequest(**kwargs)
-    except RenderError as exc:  # backstop: constructor re-validates
-        raise _bad(str(exc)) from exc
+        return RenderRequest(**{key: value for key, value in doc.items()
+                                if value is not None})
+    except RenderError as exc:
+        raise _bad(str(exc), code=exc.code or "bad-request",
+                   field=exc.field) from exc
 
 
 def result_to_payload(result: RenderResult) -> dict:
@@ -187,30 +126,3 @@ def result_from_payload(doc: dict, data: bytes | None = None) -> RenderResult:
         data=data,
         worker_obs=obs_doc if isinstance(obs_doc, dict) else None,
     )
-
-
-def canonical_schedule_bytes(schedule: Schedule) -> bytes:
-    """The canonical byte form of a schedule.
-
-    Compact, sorted-keys JSON over :func:`repro.io.json_fmt.to_dict` —
-    byte-identical to what :func:`repro.batch.cache.schedule_digest`
-    hashes, so a worker holding these bytes can compute the cache key
-    without parsing them.
-    """
-    from repro.io.json_fmt import to_dict
-
-    return json.dumps(to_dict(schedule), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def schedule_from_canonical(data: bytes, *,
-                            source: str = "<wire>") -> Schedule:
-    """Rebuild a schedule from its canonical byte form."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"malformed canonical schedule bytes: {exc}",
-                         source=source) from exc
-    from repro.io.json_fmt import from_dict
-
-    return from_dict(doc, source=source)

@@ -43,7 +43,7 @@ from dataclasses import replace as dc_replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ParseError, ReproError, ServeError
+from repro.errors import ParseError, ServeError
 from repro.obs import core as _obs
 from repro.obs.export import to_chrome_events, trace_from_doc, trace_to_doc
 from repro.render.api import RenderRequest, RenderResult
@@ -433,7 +433,9 @@ class RenderServer:
                 except WorkerTimeout as exc:
                     self.metrics.inc("jedule_serve_worker_failures_total",
                                      labels={"kind": "timeout"})
-                    result = self._failure(job, str(exc), attempts)
+                    result = RenderResult.failure(
+                        job.request, exc, cache_dir=self.cache_dir,
+                        attempts=attempts)
                     break
                 except WorkerCrash as exc:
                     self.metrics.inc("jedule_serve_worker_failures_total",
@@ -441,8 +443,9 @@ class RenderServer:
                     if attempts <= self.crash_retries and \
                             self._pool.worker(index).alive:
                         continue
-                    result = self._failure(
-                        job, f"{exc} (after {attempts} attempt(s))", attempts)
+                    result = RenderResult.failure(
+                        job.request, f"{exc} (after {attempts} attempt(s))",
+                        cache_dir=self.cache_dir, attempts=attempts)
                     break
             sp.set(cache=result.cache, ok=result.ok, attempts=attempts)
         job.result = result
@@ -484,19 +487,6 @@ class RenderServer:
                 self.metrics.observe(STAGE_FAMILY, s.duration,
                                      labels={"stage": s.name})
         job.trace_doc = trace_to_doc(trace)
-
-    def _failure(self, job: Job, error: str, attempts: int) -> RenderResult:
-        fmt = "?"
-        try:
-            fmt = job.request.resolved_output_format()
-        except ReproError:
-            pass
-        return RenderResult(
-            input_path=job.request.input_path,
-            output_path=job.request.output_path, format=fmt, nbytes=0,
-            duration_s=0.0,
-            cache="off" if self.cache_dir is None else "miss",
-            error=error, attempts=attempts)
 
     def _build_metrics(self) -> Metrics:
         """Declare every /metricz family (gauges read live at scrape)."""

@@ -62,6 +62,12 @@ def test_unknown_top_level_key_rejected(tmp_path):
                           base_dir=tmp_path)
 
 
+def test_non_string_output_dir_rejected(tmp_path):
+    doc = {"output_dir": 5, "jobs": [{"input": "a.jed"}]}
+    with pytest.raises(ParseError, match="'output_dir' must be a path"):
+        manifest_requests(doc, base_dir=tmp_path)
+
+
 def test_empty_jobs_rejected(tmp_path):
     with pytest.raises(ParseError, match="non-empty 'jobs'"):
         manifest_requests({"jobs": []}, base_dir=tmp_path)
@@ -84,6 +90,8 @@ def test_unknown_format_in_formats(tmp_path):
     ({"input": "a.jed", "lod": "bogus"}, "unknown lod mode 'bogus'"),
     ({"input": "a.jed", "formats": ["png"], "width": -3},
      "width must be >= 1, got -3"),
+    ({"input": "a.jed", "output": 5}, "'output' must be a path string"),
+    ({"input": "a.jed", "style": 5}, "style_path must be a path string"),
 ])
 def test_rejected_request_field_names_job_and_source(tmp_path, entry,
                                                      message):
